@@ -183,6 +183,11 @@ let route file random seed shape flow alpha objective cluster_size clusters
       if show_tree then
         Format.printf "tree:@.%a@." Merlin_rtree.Rtree.pp
           out.Merlin_core.Merlin.tree;
+      (* This run's own *P_Tree cell-table work, summed over its loops. *)
+      if stats then
+        Format.eprintf "ptree cells: merges=%d built=%d reused=%d@."
+          out.Merlin_core.Merlin.merges out.Merlin_core.Merlin.cells_built
+          out.Merlin_core.Merlin.cells_reused;
       Ok 0
   in
   let emit = emit_metrics ~json ~with_tree:show_tree in

@@ -8,6 +8,13 @@ type result = {
   curve : Build.t Curve.t;
   candidates : Point.t array;
   merges : int;
+  cells_built : int;
+  cells_reused : int;
+}
+
+type gamma_entry = {
+  curves : Build.t Curve.t array;
+  mutable chain : Star_ptree.terminal option;
 }
 
 let candidate_set (cfg : Config.t) net =
@@ -25,14 +32,14 @@ let realized_order sol = Order.of_list (Catree.sinks_in_order (hierarchy sol))
 
 (* A closed sub-group becomes a single chain member when absorbed by the
    enclosing level. *)
-let as_chain_terminal curves =
+let as_chain_terminal star curves =
   let wrap (sol : Build.t Solution.t) =
     let data = sol.Solution.data in
     { sol with
       Solution.data =
         { data with Build.members = [ Catree.Chain (Catree.level data.Build.members) ] } }
   in
-  Star_ptree.Sub_term (Array.map (fun c -> Curve.map_solutions wrap c) curves)
+  Star_ptree.sub_term star (Array.map (fun c -> Curve.map_solutions wrap c) curves)
 
 let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
   Config.validate cfg;
@@ -65,14 +72,20 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
         else if i <= source_index then i - 1
         else i)
   in
-  let merges = ref 0 in
-  let star ~active terminals =
-    incr merges;
-    Star_ptree.run ~epsilon:cfg.Config.curve_epsilon
+  (* One *P_Tree context for the whole construct: every merge of every
+     window, and the base curves, share its table of finished interval
+     cells (DESIGN.md §"Cell table"). *)
+  let ctx =
+    Star_ptree.create ~epsilon:cfg.Config.curve_epsilon
       ~max_frontier:cfg.Config.max_frontier ~tech ~buffers
       ~trials:cfg.Config.buffer_trials ~max_curve:cfg.Config.max_curve
       ~grids:(cfg.Config.quant_req, cfg.Config.quant_load, cfg.Config.quant_area)
-      ~bbox_slack:cfg.Config.bbox_slack ~candidates ~active ~terminals ()
+      ~bbox_slack:cfg.Config.bbox_slack ~candidates ()
+  in
+  let merges = ref 0 in
+  let star ~active terminals =
+    incr merges;
+    Star_ptree.run ctx ~active ~terminals
   in
   (* Merge accumulators, shared by every window of the construction: one
      scratch builder per candidate, cleared on first use inside a window
@@ -84,16 +97,24 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
   let window_id = ref 0 in
   let cap_bld = Curve.Builder.create () in
   (* Gamma table: (covered length, structure code, right window end) ->
-     per-candidate curves.  Only non-empty entries are stored. *)
-  let gamma : (int * int * int, Build.t Curve.t array) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let gamma_find len e r =
-    Hashtbl.find_opt gamma (len, Grouping.code e, r)
-  in
+     per-candidate curves, plus the entry's chain terminal once an
+     enclosing window has wrapped it.  Only non-empty entries are
+     stored. *)
+  let gamma : (int * int * int, gamma_entry) Hashtbl.t = Hashtbl.create 256 in
+  let gamma_find len e r = Hashtbl.find_opt gamma (len, Grouping.code e, r) in
   let gamma_put len e r curves =
     if Array.exists (fun c -> not (Curve.is_empty c)) curves then
-      Hashtbl.replace gamma (len, Grouping.code e, r) curves
+      Hashtbl.replace gamma (len, Grouping.code e, r) { curves; chain = None }
+  in
+  (* The entry as a chain member, wrapped once: its identity is the
+     cell-table key of every merge that absorbs it. *)
+  let chain_terminal entry =
+    match entry.chain with
+    | Some term -> term
+    | None ->
+      let term = as_chain_terminal ctx entry.curves in
+      entry.chain <- Some term;
+      term
   in
   let sink_at pos = Net.sink net order.(pos) in
   let structures =
@@ -171,7 +192,7 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
     let try_inner l_in e_in r_in =
       match gamma_find l_in e_in r_in with
       | None -> ()
-      | Some inner_curves ->
+      | Some inner ->
         let covered_in = Grouping.covered ~r:r_in ~len:l_in e_in in
         let set_in = IS.of_list covered_in in
         (* Line 15: skip if the inner group covers a sink outside the
@@ -203,7 +224,7 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
           let chain_terms, chain_sig =
             if l_in = 1 then (sink_terms covered_in, covered_in)
             else
-              ( [ as_chain_terminal inner_curves ],
+              ( [ chain_terminal inner ],
                 [ -1000000 - (((l_in * 4) + Grouping.code e_in) * 1024) - r_in ] )
           in
           let signature =
@@ -265,6 +286,21 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
     in
     gamma_put cov_len e_out r_out capped
   in
+  (* A Gamma entry of length L is absorbed only by windows of length
+     L+1 .. L+alpha-1: once the sweep passes that, the cells holding its
+     chain terminal are dead. *)
+  let release_chains len =
+    List.iter
+      (fun e ->
+         for r = 0 to n - 1 do
+           match gamma_find len e r with
+           | Some ({ chain = Some term; _ } as entry) ->
+             Star_ptree.release ctx term;
+             entry.chain <- None
+           | Some { chain = None; _ } | None -> ()
+         done)
+      structures
+  in
   for cov_len = 2 to n do
     List.iter
       (fun e_out ->
@@ -274,13 +310,14 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
              merge_window ~cov_len ~e_out ~r_out
            done
          end)
-      structures
+      structures;
+    release_chains (cov_len - alpha + 1)
   done;
   (* EXTRACTION (Fig. 9 lines 21-23): connect the driver. *)
   let final =
     match gamma_find n Grouping.Chi0 (n - 1) with
     | None -> Curve.empty
-    | Some top ->
+    | Some { curves = top; _ } ->
       let bld = Curve.Builder.create () in
       Array.iter
         (Curve.iter (fun sol ->
@@ -295,4 +332,6 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
         top;
       Curve.Builder.build ~name:"Bubble_construct.to_driver" bld
   in
-  { curve = final; candidates; merges = !merges }
+  { curve = final; candidates; merges = !merges;
+    cells_built = Star_ptree.cells_built ctx;
+    cells_reused = Star_ptree.cells_reused ctx }

@@ -21,6 +21,10 @@ type result = {
           the required time at the root, [area] the total buffer area *)
   candidates : Point.t array;  (** candidate set actually used *)
   merges : int;  (** number of *PTREE merge invocations (cost metric) *)
+  cells_built : int;  (** *P_Tree interval cells computed *)
+  cells_reused : int;
+      (** *P_Tree interval cells taken from the construct's cell table
+          instead of being recomputed *)
 }
 
 (** [candidate_set cfg net] is the candidate-location set the engine uses:

@@ -15,7 +15,12 @@ type outcome = {
   loops : int;
   req_history : float list;
   merges : int;
+  cells_built : int;
+  cells_reused : int;
 }
+
+(* Work summed over the loops of one run. *)
+type total = { merges : int; built : int; reused : int }
 
 let run ?candidates ?(cfg = Config.default) ?(objective = Objective.Best_req)
     ?init ~tech ~buffers (net : Net.t) =
@@ -24,7 +29,7 @@ let run ?candidates ?(cfg = Config.default) ?(objective = Objective.Best_req)
      quantised curves we additionally stop once the improvement falls
      below one required-time bucket. *)
   let tolerance = max cfg.Config.quant_req 1e-6 in
-  let outcome_of result (best : Build.t Solution.t) history total_merges =
+  let outcome_of result (best : Build.t Solution.t) history (total : total) =
     { best;
       curve = result.Bubble_construct.curve;
       tree = best.Solution.data.Build.tree;
@@ -32,19 +37,25 @@ let run ?candidates ?(cfg = Config.default) ?(objective = Objective.Best_req)
       order = Bubble_construct.realized_order best;
       loops = List.length history;
       req_history = List.rev history;
-      merges = total_merges }
+      merges = total.merges;
+      cells_built = total.built;
+      cells_reused = total.reused }
   in
   (* Keep the best outcome seen: under quantised curves a later loop can
      be marginally worse, and the search must never return it. *)
-  let rec loop order loops history total_merges best_so_far =
+  let rec loop order loops history total best_so_far =
     let result =
       Bubble_construct.construct ?candidates ~cfg ~tech ~buffers net order
     in
-    let total_merges = total_merges + result.Bubble_construct.merges in
+    let total =
+      { merges = total.merges + result.Bubble_construct.merges;
+        built = total.built + result.Bubble_construct.cells_built;
+        reused = total.reused + result.Bubble_construct.cells_reused }
+    in
     match Objective.choose objective result.Bubble_construct.curve with
     | None ->
       Option.map
-        (fun (res, best) -> outcome_of res best history total_merges)
+        (fun (res, best) -> outcome_of res best history total)
         best_so_far
     | Some best ->
       let next = Bubble_construct.realized_order best in
@@ -67,8 +78,8 @@ let run ?candidates ?(cfg = Config.default) ?(objective = Objective.Best_req)
         || loops >= cfg.Config.max_iters
       then
         Option.map
-          (fun (res, b) -> outcome_of res b history total_merges)
+          (fun (res, b) -> outcome_of res b history total)
           best_so_far
-      else loop next (loops + 1) history total_merges best_so_far
+      else loop next (loops + 1) history total best_so_far
   in
-  loop init 1 [] 0 None
+  loop init 1 [] { merges = 0; built = 0; reused = 0 } None

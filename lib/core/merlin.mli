@@ -22,6 +22,8 @@ type outcome = {
   loops : int;                (** iterations until convergence *)
   req_history : float list;   (** best required time per loop, oldest first *)
   merges : int;               (** total *PTREE invocations *)
+  cells_built : int;          (** *P_Tree cells computed, over all loops *)
+  cells_reused : int;         (** *P_Tree cells shared within a construct *)
 }
 
 (** [run ?cfg ?objective ?init ~tech ~buffers net] runs the full search.

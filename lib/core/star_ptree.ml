@@ -1,9 +1,18 @@
 open Merlin_geometry
 open Merlin_curves
 
+type sub = {
+  sid : int;
+  curves : Build.t Curve.t array;
+  box : Rect.t;
+  (* Keys of the table cells whose terminals include this sub-group,
+     dropped together by [release]. *)
+  mutable cells : int array list;
+}
+
 type terminal =
   | Sink_term of Merlin_net.Sink.t
-  | Sub_term of Build.t Curve.t array
+  | Sub_term of sub
 
 (* Evenly spaced subset of the library tried at every routing root.  The
    library is a graded single-parameter family, so a spread of strengths
@@ -20,18 +29,6 @@ let buffer_subset buffers ~trials =
 type close_payload =
   | Kept of Build.t
   | Buffered of Merlin_tech.Buffer_lib.buffer * Build.sol
-
-(* Bounding box of the points a terminal can occupy. *)
-let terminal_box candidates = function
-  | Sink_term s -> Rect.make s.Merlin_net.Sink.pt s.Merlin_net.Sink.pt
-  | Sub_term sub ->
-    let pts = ref [] in
-    Array.iteri
-      (fun p c -> if not (Curve.is_empty c) then pts := candidates.(p) :: !pts)
-      sub;
-    (match !pts with
-     | [] -> invalid_arg "Star_ptree.terminal_box: sub-terminal with empty curves"
-     | pts -> Rect.bounding_box pts)
 
 (* Operation counters used by the diagnostics in bench/ and by tuning
    sessions; atomic so concurrent flows under the execution engine do
@@ -61,89 +58,234 @@ let add_bytes counter before =
     (Atomic.fetch_and_add counter
        (int_of_float (Gc.allocated_bytes () -. before)))
 
-let run ?(epsilon = 0.0) ?(max_frontier = 0) ~tech ~buffers ~trials ~max_curve
-    ~grids ~bbox_slack ~candidates ~active ~terminals () =
-  let m = Array.length terminals and k = Array.length candidates in
+(* A finished cell S(i..j): curves at its own active roots plus a memo of
+   lazy relocations to other roots — the paper's d(p,p') move applied on
+   demand instead of as a k^2 sweep. *)
+type cell = {
+  computed : Build.t Curve.t array;
+  memo : Build.t Curve.t option array;
+}
+
+(* Cell key: [| n; id_i; ...; id_j; active roots... |] with n = j-i+1
+   terminal identities (2 * sink id for a sink, 2 * sid + 1 for a
+   sub-group).  Hashed in full: the polymorphic Hashtbl.hash stops after
+   ten meaningful values, so long keys sharing a prefix would collide. *)
+module Key = struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec same i = i >= n || (a.(i) = b.(i) && same (i + 1)) in
+    same 0
+
+  let hash (a : t) =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor a.(i)) * 0x100000001b3
+    done;
+    let h = !h in
+    let h = (h lxor (h lsr 29)) * 0x3fb5d329728ea185 in
+    (h lxor (h lsr 32)) land max_int
+end
+
+module Cells = Hashtbl.Make (Key)
+
+type t = {
+  tech : Merlin_tech.Tech.t;
+  subset : Merlin_tech.Buffer_lib.buffer array;
+  max_curve : int;
+  req_grid : float;
+  load_grid : float;
+  area_grid : float;
+  epsilon : float;
+  max_frontier : int;
+  bbox_slack : float;
+  candidates : Point.t array;
+  (* One scratch builder per payload type, shared by every cell of every
+     run (the builders own their sort/staircase scratch, see
+     Curve.Builder): joins, buffer closures, extend-to-root batches
+     (pull and bases never interleave) and cap selections.  Steady-state
+     cells allocate only their survivor arrays. *)
+  join_bld : int Curve.Builder.b;
+  close_bld : close_payload Curve.Builder.b;
+  extend_bld : Build.sol Curve.Builder.b;
+  cap_bld : Build.t Curve.Builder.b;
+  (* One flat cost record threaded through every cost computation:
+     Build.*_cost_into writes the three coordinates as unboxed float
+     stores, [push_quant] quantises them in place (the same floor/ceil
+     expressions as Solution.grid_down/grid_up, so bit-identical) and
+     Curve.Builder.push_cost moves them into the builder columns — no
+     (req, load, area) tuple and no boxed floats per candidate. *)
+  cost : Curve.Builder.cost;
+  table : cell Cells.t;
+  mutable next_sid : int;
+  mutable built : int;
+  mutable reused : int;
+}
+
+let create ?(epsilon = 0.0) ?(max_frontier = 0) ~tech ~buffers ~trials
+    ~max_curve ~grids ~bbox_slack ~candidates () =
+  if Array.length candidates = 0 then
+    invalid_arg "Star_ptree.create: no candidates";
+  let req_grid, load_grid, area_grid = grids in
+  { tech; subset = buffer_subset buffers ~trials; max_curve; req_grid;
+    load_grid; area_grid; epsilon; max_frontier; bbox_slack; candidates;
+    join_bld = Curve.Builder.create ();
+    close_bld = Curve.Builder.create ();
+    extend_bld = Curve.Builder.create ();
+    cap_bld = Curve.Builder.create ();
+    cost = Curve.Builder.new_cost ();
+    table = Cells.create 64;
+    next_sid = 0;
+    built = 0;
+    reused = 0 }
+
+let cells_built t = t.built
+let cells_reused t = t.reused
+
+let sub_term t curves =
+  let pts = ref [] in
+  Array.iteri
+    (fun p c -> if not (Curve.is_empty c) then pts := t.candidates.(p) :: !pts)
+    curves;
+  let box =
+    match !pts with
+    | [] -> invalid_arg "Star_ptree.sub_term: sub-group with empty curves"
+    | pts -> Rect.bounding_box pts
+  in
+  let sid = t.next_sid in
+  t.next_sid <- sid + 1;
+  Sub_term { sid; curves; box; cells = [] }
+
+let release t = function
+  | Sink_term _ -> ()
+  | Sub_term s ->
+    List.iter (Cells.remove t.table) s.cells;
+    s.cells <- []
+
+(* Bounding box of the points a terminal can occupy. *)
+let terminal_box = function
+  | Sink_term s -> Rect.make s.Merlin_net.Sink.pt s.Merlin_net.Sink.pt
+  | Sub_term s -> s.box
+
+let terminal_id = function
+  | Sink_term s -> 2 * s.Merlin_net.Sink.id
+  | Sub_term s -> (2 * s.sid) + 1
+
+let push_quant t bld payload =
+  let cost = t.cost in
+  if t.req_grid <> 0.0 then
+    cost.Curve.Builder.creq <-
+      floor (cost.Curve.Builder.creq /. t.req_grid) *. t.req_grid;
+  if t.load_grid <> 0.0 then
+    cost.Curve.Builder.cload <-
+      ceil (cost.Curve.Builder.cload /. t.load_grid) *. t.load_grid;
+  if t.area_grid <> 0.0 then
+    cost.Curve.Builder.carea <-
+      ceil (cost.Curve.Builder.carea /. t.area_grid) *. t.area_grid;
+  Curve.Builder.push_cost bld cost payload
+
+(* Curve.Builder.build with the run-wide epsilon / frontier-cap knobs
+   (both default off = exact). *)
+let build t ~name bld =
+  Curve.Builder.build ~name ~epsilon:t.epsilon ~max_frontier:t.max_frontier bld
+
+let finish t curve = Curve.cap ~scratch:t.cap_bld ~max_size:t.max_curve curve
+
+(* Try each buffer on every unbuffered root; re-buffering an existing
+   buffer (a same-point repeater) is dominated by picking the right
+   single size from the graded library, so it is skipped.  Two push
+   passes — existing solutions first, then buffered candidates — so
+   equal-cost ties resolve exactly as they did when the candidates were
+   added one by one into the existing curve. *)
+let close_buffers t curve =
+  if Curve.is_empty curve then curve
+  else begin
+    let before = Gc.allocated_bytes () in
+    let bld = t.close_bld in
+    Curve.Builder.clear bld;
+    Curve.iter
+      (fun sol ->
+         Curve.Builder.push bld ~req:sol.Solution.req ~load:sol.Solution.load
+           ~area:sol.Solution.area (Kept sol.Solution.data))
+      curve;
+    Curve.iter
+      (fun sol ->
+         match sol.Solution.data.Build.tree with
+         | Merlin_rtree.Rtree.Node { buffer = Some _; _ } -> ()
+         | Merlin_rtree.Rtree.Leaf _
+         | Merlin_rtree.Rtree.Node { buffer = None; _ } ->
+           Array.iter
+             (fun b ->
+                Atomic.incr n_close_adds;
+                Build.add_root_buffer_cost_into t.cost b sol;
+                push_quant t bld (Buffered (b, sol)))
+             t.subset)
+      curve;
+    let out =
+      build t ~name:"Star_ptree.close_buffers" bld
+      |> Curve.map_data (function
+        | Kept data -> data
+        | Buffered (b, sol) -> (Build.add_root_buffer b sol).Solution.data)
+    in
+    add_bytes bytes_close before;
+    out
+  end
+
+(* Extend-to-[root] batches: coordinates are pushed (quantised) from
+   extend_wire_cost; only frontier survivors grow a wire in their tree. *)
+let push_extend t root sol =
+  Build.extend_wire_cost_into t.cost t.tech ~to_:root sol;
+  push_quant t t.extend_bld sol
+
+let materialise_extend t ~name root =
+  Curve.map_data
+    (fun sol -> (Build.extend_wire t.tech ~to_:root sol).Solution.data)
+    (build t ~name t.extend_bld)
+
+let extend_all t ~name root curves =
+  Curve.Builder.clear t.extend_bld;
+  Array.iter (Curve.iter (push_extend t root)) curves;
+  materialise_extend t ~name root
+
+let pull t cell p =
+  Atomic.incr n_pulls;
+  let before = Gc.allocated_bytes () in
+  ignore
+    (Atomic.fetch_and_add n_pull_adds
+       (Array.fold_left (fun acc c -> acc + Curve.size c) 0 cell.computed));
+  let out =
+    finish t (extend_all t ~name:"Star_ptree.pull" t.candidates.(p) cell.computed)
+  in
+  add_bytes bytes_pull before;
+  out
+
+let cell_at t cell p =
+  if not (Curve.is_empty cell.computed.(p)) then cell.computed.(p)
+  else
+    match cell.memo.(p) with
+    | Some curve -> curve
+    | None ->
+      let curve = pull t cell p in
+      cell.memo.(p) <- Some curve;
+      curve
+
+(* Join payloads are packed indices: the split (relative to the cell's
+   first terminal) and the positions of the two joined solutions in
+   their curves, so the product pushes one immediate int per candidate
+   and only the survivors build a tree. *)
+let index_bits = 21
+let index_mask = (1 lsl index_bits) - 1
+
+let run t ~active ~terminals =
+  let m = Array.length terminals and k = Array.length t.candidates in
   if m = 0 then invalid_arg "Star_ptree.run: no terminals";
-  if k = 0 then invalid_arg "Star_ptree.run: no candidates";
   if Array.length active = 0 then
     invalid_arg "Star_ptree.run: no active candidates";
-  let subset = buffer_subset buffers ~trials in
-  let req_grid, load_grid, area_grid = grids in
-  (* One scratch builder per payload type for the whole DP (the builders
-     own their sort/staircase scratch, see Curve.Builder): joins, buffer
-     closures, extend-to-root batches (pull and sub-terminal bases never
-     interleave) and cap selections.  Steady-state cells allocate only
-     their survivor arrays.  [build] wraps Curve.Builder.build with the
-     run-wide epsilon / frontier-cap knobs (both default off = exact). *)
-  let join_bld = Curve.Builder.create () in
-  let close_bld = Curve.Builder.create () in
-  let extend_bld = Curve.Builder.create () in
-  let cap_bld = Curve.Builder.create () in
-  let build ~name bld = Curve.Builder.build ~name ~epsilon ~max_frontier bld in
-  let finish curve = Curve.cap ~scratch:cap_bld ~max_size:max_curve curve in
-  (* One flat cost record threaded through every cost computation of the
-     run: Build.*_cost_into writes the three coordinates as unboxed
-     float stores, [push_quant] quantises them in place (the same
-     floor/ceil expressions as Solution.grid_down/grid_up, so
-     bit-identical) and Curve.Builder.push_cost moves them into the
-     builder columns.  No (req, load, area) tuple and no boxed floats
-     per candidate — spelled out manually because the non-flambda
-     compiler does not deforest tuples across function boundaries. *)
-  let cost = Curve.Builder.new_cost () in
-  let push_quant bld payload =
-    if req_grid <> 0.0 then
-      cost.Curve.Builder.creq <-
-        floor (cost.Curve.Builder.creq /. req_grid) *. req_grid;
-    if load_grid <> 0.0 then
-      cost.Curve.Builder.cload <-
-        ceil (cost.Curve.Builder.cload /. load_grid) *. load_grid;
-    if area_grid <> 0.0 then
-      cost.Curve.Builder.carea <-
-        ceil (cost.Curve.Builder.carea /. area_grid) *. area_grid;
-    Curve.Builder.push_cost bld cost payload
-  in
-  (* Try each buffer on every unbuffered root; re-buffering an existing
-     buffer (a same-point repeater) is dominated by picking the right
-     single size from the graded library, so it is skipped.  Two push
-     passes — existing solutions first, then buffered candidates — so
-     equal-cost ties resolve exactly as they did when the candidates were
-     added one by one into the existing curve. *)
-  let close_buffers curve =
-    if Curve.is_empty curve then curve
-    else begin
-      let before = Gc.allocated_bytes () in
-      let bld = close_bld in
-      Curve.Builder.clear bld;
-      Curve.iter
-        (fun sol ->
-           Curve.Builder.push bld ~req:sol.Solution.req ~load:sol.Solution.load
-             ~area:sol.Solution.area (Kept sol.Solution.data))
-        curve;
-      Curve.iter
-        (fun sol ->
-           match sol.Solution.data.Build.tree with
-           | Merlin_rtree.Rtree.Node { buffer = Some _; _ } -> ()
-           | Merlin_rtree.Rtree.Leaf _
-           | Merlin_rtree.Rtree.Node { buffer = None; _ } ->
-             Array.iter
-               (fun b ->
-                  Atomic.incr n_close_adds;
-                  Build.add_root_buffer_cost_into cost b sol;
-                  push_quant bld (Buffered (b, sol)))
-               subset)
-        curve;
-      let out =
-        build ~name:"Star_ptree.close_buffers" bld
-        |> Curve.map_data (function
-          | Kept data -> data
-          | Buffered (b, sol) -> (Build.add_root_buffer b sol).Solution.data)
-      in
-      add_bytes bytes_close before;
-      out
-    end
-  in
-  let term_boxes = Array.map (terminal_box candidates) terminals in
+  let ids = Array.map terminal_id terminals in
+  let term_boxes = Array.map terminal_box terminals in
   (* Bounding box of terminals i..j, precomputed for all ranges by
      extending each row left to right: O(m^2) once, instead of an O(j-i)
      refold inside every cell_active call (O(m^3) over the run). *)
@@ -168,137 +310,127 @@ let run ?(epsilon = 0.0) ?(max_frontier = 0) ~tech ~buffers ~trials ~max_curve
   let cell_active i j =
     let box = range_box.((i * m) + j) in
     let margin =
-      1 + int_of_float (bbox_slack *. float_of_int (Rect.half_perimeter box))
+      1 + int_of_float (t.bbox_slack *. float_of_int (Rect.half_perimeter box))
     in
     let box = Rect.inflate box margin in
-    let keep idx p = idx = 0 || Rect.contains box candidates.(p) in
+    let keep idx p = idx = 0 || Rect.contains box t.candidates.(p) in
     let inside = ref [] in
     for idx = Array.length active - 1 downto 0 do
       if keep idx active.(idx) then inside := active.(idx) :: !inside
     done;
     Array.of_list !inside
   in
-  (* Each computed cell holds curves at its own active roots plus a memo of
-     lazy relocations to other roots — the paper's d(p,p') move applied on
-     demand instead of as a k^2 sweep. *)
-  let table = Array.make (m * m) None in
-  let idx i j = (i * m) + j in
-  (* Materialise an extend-to-[root] batch: coordinates were already
-     pushed (quantised) from extend_wire_cost; only frontier survivors
-     grow a wire in their tree. *)
-  let materialise_extend root curve =
-    Curve.map_data
-      (fun sol -> (Build.extend_wire tech ~to_:root sol).Solution.data)
-      curve
+  let key i j act =
+    let n = j - i + 1 in
+    let key = Array.make (1 + n + Array.length act) n in
+    Array.blit ids i key 1 n;
+    Array.blit act 0 key (1 + n) (Array.length act);
+    key
   in
-  let pull computed p =
-    Atomic.incr n_pulls;
-    let before = Gc.allocated_bytes () in
-    let root = candidates.(p) in
-    let bld = extend_bld in
-    Curve.Builder.clear bld;
-    Array.iter
-      (Curve.iter (fun sol ->
-         Atomic.incr n_pull_adds;
-         Build.extend_wire_cost_into cost tech ~to_:root sol;
-         push_quant bld sol))
-      computed;
-    let out =
-      finish (materialise_extend root (build ~name:"Star_ptree.pull" bld))
-    in
-    add_bytes bytes_pull before;
-    out
-  in
-  let cell_at i j p =
-    match table.(idx i j) with
-    | None -> assert false (* cells are filled in bottom-up order *)
-    | Some (computed, memo) ->
-      if not (Curve.is_empty computed.(p)) then computed.(p)
-      else begin
-        match memo.(p) with
-        | Some curve -> curve
+  let cells = Array.make (m * m) None in
+  (* Cells resolve top-down: a cell already in the context's table
+     (same terminals, same active set) is taken as is, so its sub-cells
+     are never looked at; a missing one resolves its sub-cells first. *)
+  let rec resolve i j =
+    match cells.((i * m) + j) with
+    | Some cell -> cell
+    | None ->
+      let act = cell_active i j in
+      let key = key i j act in
+      let cell =
+        match Cells.find_opt t.table key with
+        | Some cell ->
+          t.reused <- t.reused + 1;
+          cell
         | None ->
-          let curve = pull computed p in
-          memo.(p) <- Some curve;
-          curve
-      end
-  in
-  let compute_cell i j =
-    let cell_act = cell_active i j in
-    let computed = Array.make k Curve.empty in
+          let cell = compute_cell i j act in
+          t.built <- t.built + 1;
+          Cells.add t.table key cell;
+          for x = i to j do
+            match terminals.(x) with
+            | Sub_term s -> s.cells <- key :: s.cells
+            | Sink_term _ -> ()
+          done;
+          cell
+      in
+      cells.((i * m) + j) <- Some cell;
+      cell
+  and compute_cell i j act =
     let raw =
       if i = j then fun p ->
         let before = Gc.allocated_bytes () in
-        let root = candidates.(p) in
+        let root = t.candidates.(p) in
         let out =
           match terminals.(i) with
           | Sink_term s ->
             Atomic.incr n_base_adds;
-            Curve.add Curve.empty
-              (Solution.quantise ~req_grid ~load_grid ~area_grid
-                 (Build.extend_wire tech ~to_:root (Build.of_sink s)))
-          | Sub_term sub ->
-            let bld = extend_bld in
-            Curve.Builder.clear bld;
-            Array.iter
-              (Curve.iter (fun sol ->
-                 Atomic.incr n_base_adds;
-                 Build.extend_wire_cost_into cost tech ~to_:root sol;
-                 push_quant bld sol))
-              sub;
-            materialise_extend root (build ~name:"Star_ptree.raw" bld)
+            Curve.Builder.clear t.extend_bld;
+            push_extend t root (Build.of_sink s);
+            materialise_extend t ~name:"Star_ptree.raw" root
+          | Sub_term s ->
+            ignore
+              (Atomic.fetch_and_add n_base_adds
+                 (Array.fold_left (fun acc c -> acc + Curve.size c) 0 s.curves));
+            extend_all t ~name:"Star_ptree.raw" root s.curves
         in
         add_bytes bytes_base before;
         out
-      else fun p ->
-        let root = candidates.(p) in
-        (* Memoised relocations first, so any pull they trigger is
-           attributed to [bytes_pull] instead of this join's delta. *)
-        for u = i to j - 1 do
-          ignore (cell_at i u p);
-          ignore (cell_at (u + 1) j p)
-        done;
-        let before = Gc.allocated_bytes () in
-        (* The join product: push every (a, b) cost pair, prune once, and
-           only build the joined trees that survive. *)
-        let bld = join_bld in
-        Curve.Builder.clear bld;
-        for u = i to j - 1 do
-          let left = cell_at i u p and right = cell_at (u + 1) j p in
-          if not (Curve.is_empty left || Curve.is_empty right) then
-            Curve.iter
-              (fun a ->
-                 Curve.iter
-                   (fun b ->
-                      Atomic.incr n_join_adds;
-                      Build.join_cost_into cost a b;
-                      push_quant bld (a, b))
-                   right)
-              left
-        done;
-        let out =
-          build ~name:"Star_ptree.join" bld
-          |> Curve.map_data (fun (a, b) -> (Build.join root a b).Solution.data)
+      else begin
+        let subs =
+          Array.init (j - i) (fun d ->
+              let l = resolve i (i + d) in
+              (l, resolve (i + d + 1) j))
         in
-        Atomic.incr n_joins;
-        ignore (Atomic.fetch_and_add n_join_survivors (Curve.size out));
-        add_bytes bytes_join before;
-        out
+        fun p ->
+          let root = t.candidates.(p) in
+          (* Memoised relocations first, so any pull they trigger is
+             attributed to [bytes_pull] instead of this join's delta. *)
+          Array.iter
+            (fun (l, r) ->
+               ignore (cell_at t l p);
+               ignore (cell_at t r p))
+            subs;
+          let before = Gc.allocated_bytes () in
+          (* The join product: push every (a, b) cost pair, prune once,
+             and only build the joined trees that survive. *)
+          let bld = t.join_bld in
+          Curve.Builder.clear bld;
+          Array.iteri
+            (fun d (l, r) ->
+               let left = cell_at t l p and right = cell_at t r p in
+               let nl = Curve.size left and nr = Curve.size right in
+               if nl > index_mask || nr > index_mask then
+                 invalid_arg "Star_ptree.run: curve too large to index";
+               for a = 0 to nl - 1 do
+                 let sa = Curve.get left a in
+                 for b = 0 to nr - 1 do
+                   Atomic.incr n_join_adds;
+                   Build.join_cost_into t.cost sa (Curve.get right b);
+                   push_quant t bld
+                     ((((d lsl index_bits) lor a) lsl index_bits) lor b)
+                 done
+               done)
+            subs;
+          let out =
+            build t ~name:"Star_ptree.join" bld
+            |> Curve.map_data (fun code ->
+                let l, r = subs.(code lsr (2 * index_bits)) in
+                let a = (code lsr index_bits) land index_mask
+                and b = code land index_mask in
+                (Build.join root (Curve.get (cell_at t l p) a)
+                   (Curve.get (cell_at t r p) b)).Solution.data)
+          in
+          Atomic.incr n_joins;
+          ignore (Atomic.fetch_and_add n_join_survivors (Curve.size out));
+          add_bytes bytes_join before;
+          out
+      end
     in
     Atomic.incr n_cells;
+    let computed = Array.make k Curve.empty in
     Array.iter
-      (fun p -> computed.(p) <- finish (close_buffers (finish (raw p))))
-      cell_act;
-    table.(idx i j) <- Some (computed, Array.make k None)
+      (fun p -> computed.(p) <- finish t (close_buffers t (finish t (raw p))))
+      act;
+    { computed; memo = Array.make k None }
   in
-  for i = 0 to m - 1 do
-    compute_cell i i
-  done;
-  for len = 2 to m do
-    for i = 0 to m - len do
-      compute_cell i (i + len - 1)
-    done
-  done;
-  match table.(idx 0 (m - 1)) with
-  | Some (top, _) -> top
-  | None -> assert false
+  Array.copy (resolve 0 (m - 1)).computed

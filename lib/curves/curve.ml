@@ -31,6 +31,11 @@ let size = function Empty -> 0 | F arr -> Array.length arr
 
 let to_array = function Empty -> [||] | F arr -> arr
 
+let get c i =
+  match c with
+  | F arr -> arr.(i)
+  | Empty -> invalid_arg "Curve.get: empty curve"
+
 let to_list c = Array.to_list (to_array c)
 
 let strictly_dominates a b =

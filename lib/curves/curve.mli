@@ -25,6 +25,10 @@ val size : 'a t -> int
 (** Solutions in {!Solution.compare_key} order. *)
 val to_list : 'a t -> 'a Solution.t list
 
+(** [get c i] is the [i]-th solution in {!Solution.compare_key} order
+    ([0 <= i < size c]; raises [Invalid_argument] otherwise). *)
+val get : 'a t -> int -> 'a Solution.t
+
 (** Batch accumulator: push candidate coordinates (and their payloads)
     into structure-of-arrays storage, then prune the whole bag at once.
     Ties on {!Solution.compare_key} keep the earliest push, matching the

@@ -103,8 +103,11 @@ let test_objective () =
 let star_run net terminals =
   let candidates = Bubble_construct.candidate_set tiny_cfg net in
   let active = Array.init (Array.length candidates) (fun i -> i) in
-  Star_ptree.run ~tech ~buffers ~trials:5 ~max_curve:8 ~grids:(0.0, 0.0, 0.0)
-    ~bbox_slack:0.4 ~candidates ~active ~terminals ()
+  let ctx =
+    Star_ptree.create ~tech ~buffers ~trials:5 ~max_curve:8
+      ~grids:(0.0, 0.0, 0.0) ~bbox_slack:0.4 ~candidates ()
+  in
+  Star_ptree.run ctx ~active ~terminals
 
 let test_star_single_sink () =
   let net = mk_net 3 1 in
@@ -151,6 +154,99 @@ let test_star_internal_consistency () =
             Alcotest.(check (float 1e-6)) "area" ev.Eval.buf_area sol.Solution.area)
          curve)
     out
+
+(* A series of runs sharing one context's cell table returns exactly
+   what the same runs return on fresh contexts: coordinates bit for bit
+   and the same trees.  The series mixes windows of a random sink order,
+   random source-first active subsets, a sub-group terminal (released and
+   then used again) and repeated runs, in exact mode and quantised. *)
+type series_term = S of int | Sub
+
+let same_solution (a : Build.t Solution.t) (b : Build.t Solution.t) =
+  Float.equal a.Solution.req b.Solution.req
+  && Float.equal a.Solution.load b.Solution.load
+  && Float.equal a.Solution.area b.Solution.area
+  && a.Solution.data.Build.tree = b.Solution.data.Build.tree
+  && a.Solution.data.Build.members = b.Solution.data.Build.members
+
+let same_curves a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+          Curve.size x = Curve.size y
+          && List.for_all2 same_solution (Curve.to_list x) (Curve.to_list y))
+       a b
+
+let star_series ~quantised ~seed ~n =
+  let net = mk_net n seed in
+  let candidates = Bubble_construct.candidate_set tiny_cfg net in
+  let k = Array.length candidates in
+  let st = Random.State.make [| seed; n |] in
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  let active () =
+    if Random.State.bool st then Array.init k Fun.id
+    else
+      Array.of_list
+        (List.filter (fun p -> p = 0 || Random.State.int st 3 > 0) (List.init k Fun.id))
+  in
+  let windows =
+    List.concat_map
+      (fun len -> List.init (n - len + 1) (fun lo -> List.init len (fun d -> S order.(lo + d))))
+      (List.init n (fun len -> len + 1))
+  in
+  let rest = List.init (n - 2) (fun d -> S order.(d + 2)) in
+  let with_sub = [ Sub :: rest; rest @ [ Sub ]; List.rev (Sub :: rest) ] in
+  let calls =
+    List.map (fun ts -> (active (), ts, false)) (windows @ with_sub @ windows)
+    @ [ (active (), Sub :: rest, true); (active (), rest @ [ Sub ], false) ]
+  in
+  let ctx () =
+    Star_ptree.create ~tech ~buffers ~trials:3
+      ~max_curve:(if quantised then 5 else 10_000)
+      ~grids:(if quantised then (20.0, 15.0, 10.0) else (0.0, 0.0, 0.0))
+      ~bbox_slack:0.4 ~candidates ()
+  in
+  let base_active = Array.init k Fun.id in
+  let base = [| Star_ptree.Sink_term (Net.sink net order.(0));
+                Star_ptree.Sink_term (Net.sink net order.(1)) |] in
+  (* [fresh] makes a context per run; otherwise one context serves all. *)
+  let series ~fresh =
+    let shared = ctx () in
+    let ctx () = if fresh then ctx () else shared in
+    let sub_curves = Star_ptree.run (ctx ()) ~active:base_active ~terminals:base in
+    let sub = Star_ptree.sub_term shared sub_curves in
+    let outs =
+      List.map
+        (fun (active, ts, release_after) ->
+           let c = ctx () in
+           let sub = if fresh then Star_ptree.sub_term c sub_curves else sub in
+           let terminals =
+             Array.of_list
+               (List.map
+                  (function S i -> Star_ptree.Sink_term (Net.sink net i) | Sub -> sub)
+                  ts)
+           in
+           let out = Star_ptree.run c ~active ~terminals in
+           if release_after then Star_ptree.release c sub;
+           out)
+        calls
+    in
+    (sub_curves :: outs, Star_ptree.cells_reused shared)
+  in
+  let fresh, _ = series ~fresh:true and shared, reused = series ~fresh:false in
+  reused > 0 && List.for_all2 same_curves fresh shared
+
+let qtest_star_shared_table =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"star: shared cell table = fresh runs" ~count:30
+       QCheck.(triple bool (int_range 0 10_000) (int_range 3 6))
+       (fun (quantised, seed, n) -> star_series ~quantised ~seed ~n))
 
 (* ---------- Bubble_construct ---------- *)
 
@@ -310,6 +406,20 @@ let test_config_presets () =
   Alcotest.check_raises "bad alpha" (Invalid_argument "Config.validate: alpha < 2")
     (fun () -> Config.validate { Config.default with Config.alpha = 1 })
 
+(* Work pin for the golden route's net (test/golden_route_r7s5.expected): the
+   same net and configuration as `merlin-cli route --random 7 --seed 5`.
+   Deterministic counts, so a change that loses the cell sharing of a
+   construct fails here without any timing. *)
+let test_merlin_cell_sharing_pin () =
+  let net = Net_gen.random_net ~seed:5 ~name:"random" ~n:7 tech in
+  let out =
+    Option.get (Merlin.run ~cfg:(Config.scaled 7) ~tech ~buffers net)
+  in
+  Alcotest.(check int) "loops" 2 out.Merlin.loops;
+  Alcotest.(check int) "merges" 1124 out.Merlin.merges;
+  Alcotest.(check int) "cells built" 1914 out.Merlin.cells_built;
+  Alcotest.(check int) "cells reused" 4898 out.Merlin.cells_reused
+
 let suite =
   ( "core",
     [ Alcotest.test_case "grouping stretch" `Quick test_stretch;
@@ -321,6 +431,7 @@ let suite =
       Alcotest.test_case "star single sink" `Quick test_star_single_sink;
       Alcotest.test_case "star order preserved" `Quick test_star_order_preserved;
       Alcotest.test_case "star engine = evaluator" `Quick test_star_internal_consistency;
+      qtest_star_shared_table;
       Alcotest.test_case "bubble: validity, Lemma 5, C-alpha" `Slow
         test_bubble_valid_and_in_neighborhood;
       Alcotest.test_case "bubble: pessimistic quantisation" `Quick
@@ -333,4 +444,6 @@ let suite =
       Alcotest.test_case "merlin area budget (variant I)" `Quick
         test_merlin_respects_area_budget;
       Alcotest.test_case "merlin min area (variant II)" `Quick test_merlin_variant2;
+      Alcotest.test_case "merlin cell sharing pin (golden r7s5)" `Quick
+        test_merlin_cell_sharing_pin;
       Alcotest.test_case "config presets" `Quick test_config_presets ] )
