@@ -89,13 +89,11 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
   in
   (* Merge accumulators, shared by every window of the construction: one
      scratch builder per candidate, cleared on first use inside a window
-     (the stamp check), plus one cap-selection scratch.  A window touches
-     few candidates, so the pool stays small while merges allocate only
-     their surviving curves. *)
+     (the stamp check).  A window touches few candidates, so the pool
+     stays small while merges allocate only their surviving curves. *)
   let merge_blds = Array.make k None in
   let merge_stamp = Array.make k 0 in
   let window_id = ref 0 in
-  let cap_bld = Curve.Builder.create () in
   (* Gamma table: (covered length, structure code, right window end) ->
      per-candidate curves, plus the entry's chain terminal once an
      enclosing window has wrapped it.  Only non-empty entries are
@@ -279,7 +277,7 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
             match merge_blds.(p) with
             | None -> Curve.empty
             | Some bld ->
-              Curve.cap ~scratch:cap_bld ~max_size:cfg.Config.max_curve
+              Curve.cap ~max_size:cfg.Config.max_curve
                 (Curve.Builder.build ~name:"Bubble_construct.merge"
                    ~epsilon:cfg.Config.curve_epsilon
                    ~max_frontier:cfg.Config.max_frontier bld))

@@ -23,13 +23,6 @@ let buffer_subset buffers ~trials =
   else
     Array.init trials (fun i -> buffers.(i * (n - 1) / (max 1 (trials - 1))))
 
-(* Deferred payload of the buffer-closure batch: frontier survivors that
-   were already in the curve keep their tree; buffered candidates build
-   theirs only after pruning. *)
-type close_payload =
-  | Kept of Build.t
-  | Buffered of Merlin_tech.Buffer_lib.buffer * Build.sol
-
 (* Operation counters used by the diagnostics in bench/ and by tuning
    sessions; atomic so concurrent flows under the execution engine do
    not lose increments, and still free next to the curve work. *)
@@ -103,15 +96,14 @@ type t = {
   max_frontier : int;
   bbox_slack : float;
   candidates : Point.t array;
-  (* One scratch builder per payload type, shared by every cell of every
+  (* One scratch builder per batch kind, shared by every cell of every
      run (the builders own their sort/staircase scratch, see
-     Curve.Builder): joins, buffer closures, extend-to-root batches
-     (pull and bases never interleave) and cap selections.  Steady-state
-     cells allocate only their survivor arrays. *)
+     Curve.Builder): joins, buffer closures and extend-to-root batches
+     (pull and bases never interleave).  Steady-state cells allocate
+     only their survivor arrays. *)
   join_bld : int Curve.Builder.b;
-  close_bld : close_payload Curve.Builder.b;
+  close_bld : int Curve.Builder.b;
   extend_bld : Build.sol Curve.Builder.b;
-  cap_bld : Build.t Curve.Builder.b;
   (* One flat cost record threaded through every cost computation:
      Build.*_cost_into writes the three coordinates as unboxed float
      stores, [push_quant] quantises them in place (the same floor/ceil
@@ -135,7 +127,6 @@ let create ?(epsilon = 0.0) ?(max_frontier = 0) ~tech ~buffers ~trials
     join_bld = Curve.Builder.create ();
     close_bld = Curve.Builder.create ();
     extend_bld = Curve.Builder.create ();
-    cap_bld = Curve.Builder.create ();
     cost = Curve.Builder.new_cost ();
     table = Cells.create 64;
     next_sid = 0;
@@ -187,55 +178,67 @@ let push_quant t bld payload =
       ceil (cost.Curve.Builder.carea /. t.area_grid) *. t.area_grid;
   Curve.Builder.push_cost bld cost payload
 
+(* Payloads of the join and buffer-closure batches are packed ints of
+   [index_bits]-wide fields (solution positions read back with
+   Curve.get), so the hot loops push one immediate per candidate and
+   only the capped survivors build a tree. *)
+let index_bits = 21
+let index_mask = (1 lsl index_bits) - 1
+
 (* Curve.Builder.build with the run-wide epsilon / frontier-cap knobs
    (both default off = exact). *)
 let build t ~name bld =
   Curve.Builder.build ~name ~epsilon:t.epsilon ~max_frontier:t.max_frontier bld
 
-let finish t curve = Curve.cap ~scratch:t.cap_bld ~max_size:t.max_curve curve
+let finish t curve = Curve.cap ~max_size:t.max_curve curve
 
 (* Try each buffer on every unbuffered root; re-buffering an existing
    buffer (a same-point repeater) is dominated by picking the right
    single size from the graded library, so it is skipped.  Two push
    passes — existing solutions first, then buffered candidates — so
    equal-cost ties resolve exactly as they did when the candidates were
-   added one by one into the existing curve. *)
+   added one by one into the existing curve.  The payload is the
+   solution's position, plus 1 + the buffer's index above it for a
+   buffered candidate; the cap runs before any tree is built. *)
 let close_buffers t curve =
   if Curve.is_empty curve then curve
   else begin
     let before = Gc.allocated_bytes () in
     let bld = t.close_bld in
+    let n = Curve.size curve and nb = Array.length t.subset in
     Curve.Builder.clear bld;
-    Curve.iter
-      (fun sol ->
-         Curve.Builder.push bld ~req:sol.Solution.req ~load:sol.Solution.load
-           ~area:sol.Solution.area (Kept sol.Solution.data))
-      curve;
-    Curve.iter
-      (fun sol ->
-         match sol.Solution.data.Build.tree with
-         | Merlin_rtree.Rtree.Node { buffer = Some _; _ } -> ()
-         | Merlin_rtree.Rtree.Leaf _
-         | Merlin_rtree.Rtree.Node { buffer = None; _ } ->
-           Array.iter
-             (fun b ->
-                Atomic.incr n_close_adds;
-                Build.add_root_buffer_cost_into t.cost b sol;
-                push_quant t bld (Buffered (b, sol)))
-             t.subset)
-      curve;
+    for i = 0 to n - 1 do
+      let sol = Curve.get curve i in
+      Curve.Builder.push bld ~req:sol.Solution.req ~load:sol.Solution.load
+        ~area:sol.Solution.area i
+    done;
+    for i = 0 to n - 1 do
+      let sol = Curve.get curve i in
+      match sol.Solution.data.Build.tree with
+      | Merlin_rtree.Rtree.Node { buffer = Some _; _ } -> ()
+      | Merlin_rtree.Rtree.Leaf _
+      | Merlin_rtree.Rtree.Node { buffer = None; _ } ->
+        ignore (Atomic.fetch_and_add n_close_adds nb);
+        for b = 0 to nb - 1 do
+          Build.add_root_buffer_cost_into t.cost t.subset.(b) sol;
+          push_quant t bld (((b + 1) lsl index_bits) lor i)
+        done
+    done;
     let out =
-      build t ~name:"Star_ptree.close_buffers" bld
-      |> Curve.map_data (function
-        | Kept data -> data
-        | Buffered (b, sol) -> (Build.add_root_buffer b sol).Solution.data)
+      finish t (build t ~name:"Star_ptree.close_buffers" bld)
+      |> Curve.map_data (fun code ->
+          let sol = Curve.get curve (code land index_mask) in
+          match code lsr index_bits with
+          | 0 -> sol.Solution.data
+          | b -> (Build.add_root_buffer t.subset.(b - 1) sol).Solution.data)
     in
     add_bytes bytes_close before;
     out
   end
 
 (* Extend-to-[root] batches: coordinates are pushed (quantised) from
-   extend_wire_cost; only frontier survivors grow a wire in their tree. *)
+   extend_wire_cost; only the capped frontier grows a wire in its
+   trees. *)
 let push_extend t root sol =
   Build.extend_wire_cost_into t.cost t.tech ~to_:root sol;
   push_quant t t.extend_bld sol
@@ -243,7 +246,7 @@ let push_extend t root sol =
 let materialise_extend t ~name root =
   Curve.map_data
     (fun sol -> (Build.extend_wire t.tech ~to_:root sol).Solution.data)
-    (build t ~name t.extend_bld)
+    (finish t (build t ~name t.extend_bld))
 
 let extend_all t ~name root curves =
   Curve.Builder.clear t.extend_bld;
@@ -256,9 +259,7 @@ let pull t cell p =
   ignore
     (Atomic.fetch_and_add n_pull_adds
        (Array.fold_left (fun acc c -> acc + Curve.size c) 0 cell.computed));
-  let out =
-    finish t (extend_all t ~name:"Star_ptree.pull" t.candidates.(p) cell.computed)
-  in
+  let out = extend_all t ~name:"Star_ptree.pull" t.candidates.(p) cell.computed in
   add_bytes bytes_pull before;
   out
 
@@ -271,13 +272,6 @@ let cell_at t cell p =
       let curve = pull t cell p in
       cell.memo.(p) <- Some curve;
       curve
-
-(* Join payloads are packed indices: the split (relative to the cell's
-   first terminal) and the positions of the two joined solutions in
-   their curves, so the product pushes one immediate int per candidate
-   and only the survivors build a tree. *)
-let index_bits = 21
-let index_mask = (1 lsl index_bits) - 1
 
 let run t ~active ~terminals =
   let m = Array.length terminals and k = Array.length t.candidates in
@@ -391,8 +385,10 @@ let run t ~active ~terminals =
                ignore (cell_at t r p))
             subs;
           let before = Gc.allocated_bytes () in
-          (* The join product: push every (a, b) cost pair, prune once,
-             and only build the joined trees that survive. *)
+          (* The join product: push every (a, b) cost pair, keyed by
+             the split (relative to the cell's first terminal) and both
+             positions; prune and cap once, and only build the joined
+             trees that survive. *)
           let bld = t.join_bld in
           Curve.Builder.clear bld;
           Array.iteri
@@ -401,18 +397,19 @@ let run t ~active ~terminals =
                let nl = Curve.size left and nr = Curve.size right in
                if nl > index_mask || nr > index_mask then
                  invalid_arg "Star_ptree.run: curve too large to index";
+               ignore (Atomic.fetch_and_add n_join_adds (nl * nr));
                for a = 0 to nl - 1 do
                  let sa = Curve.get left a in
                  for b = 0 to nr - 1 do
-                   Atomic.incr n_join_adds;
                    Build.join_cost_into t.cost sa (Curve.get right b);
                    push_quant t bld
                      ((((d lsl index_bits) lor a) lsl index_bits) lor b)
                  done
                done)
             subs;
+          let frontier = build t ~name:"Star_ptree.join" bld in
           let out =
-            build t ~name:"Star_ptree.join" bld
+            finish t frontier
             |> Curve.map_data (fun code ->
                 let l, r = subs.(code lsr (2 * index_bits)) in
                 let a = (code lsr index_bits) land index_mask
@@ -421,7 +418,7 @@ let run t ~active ~terminals =
                    (Curve.get (cell_at t r p) b)).Solution.data)
           in
           Atomic.incr n_joins;
-          ignore (Atomic.fetch_and_add n_join_survivors (Curve.size out));
+          ignore (Atomic.fetch_and_add n_join_survivors (Curve.size frontier));
           add_bytes bytes_join before;
           out
       end
@@ -429,7 +426,7 @@ let run t ~active ~terminals =
     Atomic.incr n_cells;
     let computed = Array.make k Curve.empty in
     Array.iter
-      (fun p -> computed.(p) <- finish t (close_buffers t (finish t (raw p))))
+      (fun p -> computed.(p) <- close_buffers t (raw p))
       act;
     { computed; memo = Array.make k None }
   in

@@ -51,15 +51,12 @@ module Builder = struct
     (* Build-time scratch, owned by the builder so a cleared and reused
        builder allocates nothing on the next build (grow-only; sized to
        the push-storage capacity in one step).  [qreq]/[qload]/[qarea]
-       hold the quantised coordinates, [rb]/[lb]/[ab] their integer
-       buckets for the packed sort path, [keys] the sort keys, [keep]
-       the surviving indices and [st_load]/[st_area] the staircase. *)
+       hold the quantised coordinates, [keys] the sort keys (push
+       indices), [tmp] the merge buffer, [keep] the surviving indices
+       and [st_load]/[st_area] the staircase. *)
     mutable qreq : floatarray;
     mutable qload : floatarray;
     mutable qarea : floatarray;
-    mutable rb : int array;
-    mutable lb : int array;
-    mutable ab : int array;
     mutable keys : int array;
     mutable tmp : int array;
     mutable keep : int array;
@@ -77,9 +74,6 @@ module Builder = struct
       qreq = Float.Array.create 0;
       qload = Float.Array.create 0;
       qarea = Float.Array.create 0;
-      rb = [||];
-      lb = [||];
-      ab = [||];
       keys = [||];
       tmp = [||];
       keep = [||];
@@ -159,9 +153,6 @@ module Builder = struct
       b.qreq <- Float.Array.create cap;
       b.qload <- Float.Array.create cap;
       b.qarea <- Float.Array.create cap;
-      b.rb <- Array.make cap 0;
-      b.lb <- Array.make cap 0;
-      b.ab <- Array.make cap 0;
       b.keys <- Array.make cap 0;
       b.tmp <- Array.make cap 0;
       b.keep <- Array.make cap 0;
@@ -169,15 +160,39 @@ module Builder = struct
       b.st_area <- Float.Array.create cap
     end
 
-  (* Ascending bottom-up merge sort of [keys.(0 .. n-1)] with direct
-     (monomorphic, inlinable) int comparisons, merging back and forth
-     between [keys] and the builder-owned [tmp] scratch — the packed-key
-     sort path.  Hand-written because the stdlib cannot sort a prefix of
-     a larger scratch array, and [Array.stable_sort] allocates a fresh
-     run buffer per call; direct int compares are also markedly faster
-     than going through a comparator closure.  Small runs are seeded
-     with a binary-insertion pass, like the stdlib's cutoff. *)
-  let sort_ints keys tmp n =
+  (* Candidate [i] sorts no later than [j] in compare_key order (req
+     descending, then load, then area ascending), ties broken by push
+     index so the sort is stable.  The strict float tests settle the
+     common case; equal or NaN coordinates fall through to
+     [Float.compare], the order [Solution.compare_key] uses. *)
+  let[@inline] key_le qreq qload qarea i j =
+    let ri = Float.Array.get qreq i and rj = Float.Array.get qreq j in
+    if ri > rj then true
+    else if ri < rj then false
+    else
+      let c = Float.compare rj ri in
+      if c <> 0 then c < 0
+      else
+        let li = Float.Array.get qload i and lj = Float.Array.get qload j in
+        if li < lj then true
+        else if li > lj then false
+        else
+          let c = Float.compare li lj in
+          if c <> 0 then c < 0
+          else
+            let c =
+              Float.compare (Float.Array.get qarea i) (Float.Array.get qarea j)
+            in
+            if c <> 0 then c < 0 else i <= j
+
+  (* Ascending bottom-up merge sort of [keys.(0 .. n-1)] under [key_le],
+     merging back and forth between [keys] and the builder-owned [tmp]
+     scratch.  Monomorphic with the comparison inlined: no comparator
+     closure, no allocation (the stdlib cannot sort a prefix of a larger
+     scratch array, and [Array.stable_sort] allocates a fresh run buffer
+     per call).  Small runs are seeded with an insertion pass, like the
+     stdlib's cutoff. *)
+  let sort_keys qreq qload qarea keys tmp n =
     let run = 16 in
     let lo = ref 0 in
     while !lo < n do
@@ -185,7 +200,7 @@ module Builder = struct
       for i = !lo + 1 to hi - 1 do
         let v = keys.(i) in
         let j = ref i in
-        while !j > !lo && keys.(!j - 1) > v do
+        while !j > !lo && not (key_le qreq qload qarea keys.(!j - 1) v) do
           keys.(!j) <- keys.(!j - 1);
           decr j
         done;
@@ -203,7 +218,7 @@ module Builder = struct
         let hi = min n (mid + !width) in
         let i = ref !lo and j = ref mid and w = ref !lo in
         while !i < mid && !j < hi do
-          if s.(!i) <= s.(!j) then begin
+          if key_le qreq qload qarea s.(!i) s.(!j) then begin
             d.(!w) <- s.(!i);
             incr i
           end
@@ -213,16 +228,8 @@ module Builder = struct
           end;
           incr w
         done;
-        while !i < mid do
-          d.(!w) <- s.(!i);
-          incr i;
-          incr w
-        done;
-        while !j < hi do
-          d.(!w) <- s.(!j);
-          incr j;
-          incr w
-        done;
+        Array.blit s !i d !w (mid - !i);
+        Array.blit s !j d (!w + mid - !i) (hi - !j);
         lo := hi
       done;
       let t = !src in
@@ -231,96 +238,12 @@ module Builder = struct
       width := 2 * !width
     done;
     if !src != keys then Array.blit !src 0 keys 0 n (* lint: physical-eq *)
-
-  (* The same bottom-up merge sort under a comparator closure — the
-     fallback for un- or partially-quantised builds, whose keys live in
-     the coordinate floatarrays.  Stable (merges keep the left run on
-     ties), and the comparator also tie-breaks on the push index, so
-     both sort paths reproduce a stable sort of the coordinate keys. *)
-  let sort_idx keys tmp n cmp =
-    let run = 16 in
-    let lo = ref 0 in
-    while !lo < n do
-      let hi = min n (!lo + run) in
-      for i = !lo + 1 to hi - 1 do
-        let v = keys.(i) in
-        let j = ref i in
-        while !j > !lo && cmp keys.(!j - 1) v > 0 do
-          keys.(!j) <- keys.(!j - 1);
-          decr j
-        done;
-        keys.(!j) <- v
-      done;
-      lo := hi
-    done;
-    let src = ref keys and dst = ref tmp in
-    let width = ref run in
-    while !width < n do
-      let s = !src and d = !dst in
-      let lo = ref 0 in
-      while !lo < n do
-        let mid = min n (!lo + !width) in
-        let hi = min n (mid + !width) in
-        let i = ref !lo and j = ref mid and w = ref !lo in
-        while !i < mid && !j < hi do
-          if cmp s.(!i) s.(!j) <= 0 then begin
-            d.(!w) <- s.(!i);
-            incr i
-          end
-          else begin
-            d.(!w) <- s.(!j);
-            incr j
-          end;
-          incr w
-        done;
-        while !i < mid do
-          d.(!w) <- s.(!i);
-          incr i;
-          incr w
-        done;
-        while !j < hi do
-          d.(!w) <- s.(!j);
-          incr j;
-          incr w
-        done;
-        lo := hi
-      done;
-      let t = !src in
-      src := !dst;
-      dst := t;
-      width := 2 * !width
-    done;
-    if !src != keys then Array.blit !src 0 keys 0 n (* lint: physical-eq *)
-
-  (* Quantisation buckets stay bit-exact and order-preserving as ints as
-     long as |bucket| stays far below 2^53: [float_of_int] is exact and
-     [f *. grid] is strictly monotone in f (adjacent multiples differ by
-     [grid], rounding error is ~|f*grid|*2^-53, so collapses need
-     |f| ~ 2^52).  2^45 leaves a wide margin and bounds the packed bit
-     budget.  Negative zero is rejected: its bucket would collide with
-     +0.0's while [Float.compare] separates them. *)
-  let bucket_limit = 0x2000_0000_0000p0 (* 2^45 *)
-
-  let bucket_ok f =
-    Float.abs f <= bucket_limit && not (f = 0.0 && 1.0 /. f < 0.0)
-
-  (* Smallest width such that [v < 2^width] ([v >= 0]). *)
-  let bits v =
-    let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
-    go 0 v
 
   (* One sort + one staircase sweep over the accumulated bag.  Ties
      (equal coordinate keys) keep the earliest push, matching the
      incremental [add]'s first-wins behaviour.  [grids] quantises every
      coordinate before the sweep (the per-candidate quantisation of the
      DP cores, fused into the batch pass).
-
-     With all three grids positive the sort runs on one packed int key
-     per candidate — (req desc, load asc, area asc, push index) offset
-     into disjoint bit fields — instead of chasing three floatarrays
-     through a comparator; the float comparator remains as the fallback
-     for un- or partially-quantised builds and for out-of-range buckets,
-     and orders identically (DESIGN.md §9).
 
      [epsilon] > 0 additionally drops a candidate when some kept point
      is within [epsilon] of it in both load and area (at automatically
@@ -347,42 +270,7 @@ module Builder = struct
       let qreq = if quantised then b.qreq else b.req in
       let qload = if quantised then b.qload else b.load in
       let qarea = if quantised then b.qarea else b.area in
-      (* Pass 1: quantise into the q scratch; when all grids are
-         positive, also derive the integer buckets (same divisions, so
-         [bucket *. grid] reproduces grid_down/grid_up bit-exactly). *)
-      let packed = ref (req_grid > 0.0 && load_grid > 0.0 && area_grid > 0.0) in
-      let minr = ref max_int and maxr = ref min_int in
-      let minl = ref max_int and maxl = ref min_int in
-      let mina = ref max_int and maxa = ref min_int in
-      if !packed then begin
-        let i = ref 0 in
-        while !packed && !i < n do
-          let fr = Float.floor (Float.Array.get b.req !i /. req_grid) in
-          let fl = Float.ceil (Float.Array.get b.load !i /. load_grid) in
-          let fa = Float.ceil (Float.Array.get b.area !i /. area_grid) in
-          if not (bucket_ok fr && bucket_ok fl && bucket_ok fa) then
-            packed := false
-          else begin
-            Float.Array.set qreq !i (fr *. req_grid);
-            Float.Array.set qload !i (fl *. load_grid);
-            Float.Array.set qarea !i (fa *. area_grid);
-            let ri = int_of_float fr in
-            let li = int_of_float fl in
-            let ai = int_of_float fa in
-            b.rb.(!i) <- ri;
-            b.lb.(!i) <- li;
-            b.ab.(!i) <- ai;
-            if ri < !minr then minr := ri;
-            if ri > !maxr then maxr := ri;
-            if li < !minl then minl := li;
-            if li > !maxl then maxl := li;
-            if ai < !mina then mina := ai;
-            if ai > !maxa then maxa := ai
-          end;
-          incr i
-        done
-      end;
-      if (not !packed) && quantised then
+      if quantised then
         for i = 0 to n - 1 do
           Float.Array.set qreq i
             (Solution.grid_down req_grid (Float.Array.get b.req i));
@@ -391,54 +279,10 @@ module Builder = struct
           Float.Array.set qarea i
             (Solution.grid_up area_grid (Float.Array.get b.area i))
         done;
-      let bi = bits (n - 1) in
-      let use_packed =
-        !packed
-        && bits (!maxr - !minr) + bits (!maxl - !minl) + bits (!maxa - !mina)
-           + bi
-           <= 62
-      in
-      if use_packed then begin
-        (* Field layout, most significant first: req (inverted so the
-           ascending int sort yields req-descending), load, area, push
-           index.  All fields are offset to start at 0, so the key is a
-           non-negative int and plain int comparison is the full
-           lexicographic order. *)
-        let sa = bi in
-        let sl = sa + bits (!maxa - !mina) in
-        let sr = sl + bits (!maxl - !minl) in
-        for i = 0 to n - 1 do
-          b.keys.(i) <-
-            ((!maxr - b.rb.(i)) lsl sr)
-            lor ((b.lb.(i) - !minl) lsl sl)
-            lor ((b.ab.(i) - !mina) lsl sa)
-            lor i
-        done;
-        sort_ints b.keys b.tmp n
-      end
-      else begin
-        for i = 0 to n - 1 do
-          b.keys.(i) <- i
-        done;
-        sort_idx b.keys b.tmp n (fun i j ->
-            let c =
-              Float.compare (Float.Array.get qreq j) (Float.Array.get qreq i)
-            in
-            if c <> 0 then c
-            else
-              let c =
-                Float.compare (Float.Array.get qload i)
-                  (Float.Array.get qload j)
-              in
-              if c <> 0 then c
-              else
-                let c =
-                  Float.compare (Float.Array.get qarea i)
-                    (Float.Array.get qarea j)
-                in
-                if c <> 0 then c else Int.compare i j)
-      end;
-      let imask = (1 lsl bi) - 1 in
+      for i = 0 to n - 1 do
+        b.keys.(i) <- i
+      done;
+      sort_keys qreq qload qarea b.keys b.tmp n;
       (* Staircase of the kept points' (load, area) minima: load strictly
          increasing, area strictly decreasing. *)
       let st_load = b.st_load and st_area = b.st_area in
@@ -447,9 +291,7 @@ module Builder = struct
       let nkeep = ref 0 in
       let t = ref 0 in
       while !t < n && !nkeep < cap do
-        let i =
-          if use_packed then b.keys.(!t) land imask else b.keys.(!t)
-        in
+        let i = b.keys.(!t) in
         let l = Float.Array.get qload i and a = Float.Array.get qarea i in
         (* Rightmost staircase entry with load <= l + epsilon (all kept
            points have req >= this one's, so load/area decide dominance;
@@ -642,7 +484,14 @@ let best_min_area c ~req =
     in
     scan 0 None
 
-let cap_impl ?scratch ~max_size c =
+(* Always keep the extreme point of each dimension (best required time,
+   least load, least area) and the last point, then spread the rest
+   evenly along the required-time axis.  The curve is a strictly sorted
+   frontier, so any subset of it is one too: the picks are sorted,
+   deduplicated and kept in curve order, with no rebuild.  For very
+   small caps the four extremes may overflow the cap; the selection is
+   then truncated in curve order. *)
+let cap ~max_size c =
   if max_size < 2 then invalid_arg "Curve.cap: max_size < 2";
   match c with
   | Empty -> Empty
@@ -650,46 +499,33 @@ let cap_impl ?scratch ~max_size c =
     let n = Array.length arr in
     if n <= max_size then c
     else begin
-      (* Always keep the extreme point of each dimension (best required
-         time, least load, least area), then spread the rest evenly along
-         the required-time axis.  Everything goes straight into the
-         builder — a caller-threaded scratch one on the hot paths — in
-         the same order the old list-based construction pushed, so the
-         first-wins tie behaviour of [Builder.build] is unchanged. *)
-      let bld =
-        match scratch with
-        | Some b ->
-          Builder.clear b;
-          b
-        | None -> Builder.create ~hint:max_size ()
-      in
-      let extreme proj =
-        let best = ref 0 in
-        Array.iteri
-          (fun i s -> if proj s < proj arr.(!best) then best := i)
-          arr;
-        arr.(!best)
-      in
-      let n_extremes = 4 in
-      Builder.add bld arr.(0);
-      Builder.add bld (extreme (fun s -> s.Solution.load));
-      Builder.add bld (extreme (fun s -> s.Solution.area));
-      Builder.add bld arr.(n - 1);
-      let spread = max 0 (max_size - n_extremes) in
-      for k = 0 to spread - 1 do
-        Builder.add bld arr.(1 + (k * (n - 2) / max 1 spread))
+      let argmin_load = ref 0 and argmin_area = ref 0 in
+      for i = 1 to n - 1 do
+        if arr.(i).Solution.load < arr.(!argmin_load).Solution.load then
+          argmin_load := i;
+        if arr.(i).Solution.area < arr.(!argmin_area).Solution.area then
+          argmin_area := i
       done;
-      let capped = Builder.build ~name:"Curve.cap" bld in
-      (* For very small caps the four kept extremes may overflow the cap;
-         truncate in curve order as a last resort. *)
-      if size capped <= max_size then capped
-      else
-        match capped with
-        | Empty -> Empty
-        | F a -> F (Array.sub a 0 max_size)
+      let spread = max 0 (max_size - 4) in
+      let picks = Array.make (4 + spread) 0 in
+      picks.(1) <- !argmin_load;
+      picks.(2) <- !argmin_area;
+      picks.(3) <- n - 1;
+      for k = 0 to spread - 1 do
+        picks.(4 + k) <- 1 + (k * (n - 2) / max 1 spread)
+      done;
+      Array.sort Int.compare picks;
+      let len = ref 0 in
+      Array.iter
+        (fun i ->
+           if !len < max_size && (!len = 0 || picks.(!len - 1) <> i) then begin
+             picks.(!len) <- i;
+             incr len
+           end)
+        picks;
+      F (Contract.check_arr ~name:"Curve.cap"
+           (Array.init !len (fun t -> arr.(picks.(t)))))
     end
-
-let cap ?scratch ~max_size c = cap_impl ?scratch ~max_size c
 
 let quantise_load ~grid c =
   if grid <= 0.0 then invalid_arg "Curve.quantise_load: grid <= 0";

@@ -86,9 +86,9 @@ module Builder : sig
       frontier size F, versus O(P·F) for P repeated {!add}s.  [grids]
       applies {!Solution.quantise} bucketing to every candidate during
       the sweep (the DP cores' per-candidate quantisation, fused into
-      the batch pass); with all three grids positive the sort runs on
-      packed int keys instead of a float comparator (DESIGN.md §9).
-      [name] labels {!Contract} violations.
+      the batch pass).  The sort is one monomorphic merge sort with
+      the comparison inlined (DESIGN.md §9).  [name] labels
+      {!Contract} violations.
 
       [epsilon > 0] additionally drops candidates epsilon-dominated by a
       kept point (within [epsilon] in both load and area at no-worse
@@ -146,12 +146,13 @@ val best_under_area : 'a t -> area:float -> 'a Solution.t option
     first element below the floor (the curve is req-descending). *)
 val best_min_area : 'a t -> req:float -> 'a Solution.t option
 
-(** [cap ?scratch ~max_size curve] reduces the curve to at most
-    [max_size] points by keeping an even spread along the required-time
-    axis (always keeping both extremes); [max_size >= 2].  Hot paths
-    pass [scratch] — a builder cleared and reused for the selection —
-    so capping allocates only the surviving points (DESIGN.md §5, §9). *)
-val cap : ?scratch:'a Builder.b -> max_size:int -> 'a t -> 'a t
+(** [cap ~max_size curve] reduces the curve to at most [max_size]
+    points by keeping an even spread along the required-time axis
+    (always keeping both extremes and the least-load and least-area
+    points); [max_size >= 2].  It selects: the kept points are the
+    curve's own solutions, in curve order, and nothing is re-pruned
+    (DESIGN.md §5, §9). *)
+val cap : max_size:int -> 'a t -> 'a t
 
 (** [quantise_load ~grid curve] rounds every load {e up} to a multiple of
     [grid] and re-prunes — the "capacitances mapped to polynomially bounded

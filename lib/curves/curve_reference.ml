@@ -82,6 +82,34 @@ let cap ~max_size c =
     else List.filteri (fun i _ -> i < max_size) capped
   end
 
+(* The rebuild-based [Curve.cap] that the selection cap replaced: the
+   picks go through a fresh builder and are re-pruned.  Kept as the
+   oracle the selection is property-tested against. *)
+let cap_rebuild ~max_size c =
+  if max_size < 2 then invalid_arg "Curve_reference.cap_rebuild: max_size < 2";
+  let n = Curve.size c in
+  if n <= max_size then c
+  else begin
+    let arr = Array.init n (Curve.get c) in
+    let bld = Curve.Builder.create ~hint:max_size () in
+    let extreme proj =
+      let best = ref 0 in
+      Array.iteri (fun i s -> if proj s < proj arr.(!best) then best := i) arr;
+      arr.(!best)
+    in
+    Curve.Builder.add bld arr.(0);
+    Curve.Builder.add bld (extreme (fun s -> s.Solution.load));
+    Curve.Builder.add bld (extreme (fun s -> s.Solution.area));
+    Curve.Builder.add bld arr.(n - 1);
+    let spread = max 0 (max_size - 4) in
+    for k = 0 to spread - 1 do
+      Curve.Builder.add bld arr.(1 + (k * (n - 2) / max 1 spread))
+    done;
+    let capped = Curve.Builder.build bld in
+    if Curve.size capped <= max_size then capped
+    else Curve.of_list (List.filteri (fun i _ -> i < max_size) (Curve.to_list capped))
+  end
+
 let quantise_load ~grid c =
   if grid <= 0.0 then invalid_arg "Curve_reference.quantise_load: grid <= 0";
   let round_up s =

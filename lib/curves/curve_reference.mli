@@ -28,6 +28,10 @@ val best_min_area : 'a t -> req:float -> 'a Solution.t option
 
 val cap : max_size:int -> 'a t -> 'a t
 
+(** The rebuild-based {!Curve.cap}: the picks are pushed into a fresh
+    {!Curve.Builder} and re-pruned.  The oracle for the selection cap. *)
+val cap_rebuild : max_size:int -> 'a Curve.t -> 'a Curve.t
+
 val quantise_load : grid:float -> 'a t -> 'a t
 
 val quantise :

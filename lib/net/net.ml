@@ -15,7 +15,16 @@ let make ~name ~source ~driver sinks =
     (fun i s ->
        if s.Sink.id <> i then
          invalid_arg
-           (Printf.sprintf "Net.make: sink at index %d has id %d" i s.Sink.id))
+           (Printf.sprintf "Net.make: sink at index %d has id %d" i s.Sink.id);
+       (* Every DP assumes finite, strictly ordered coordinates: a NaN
+          or infinite value would silently break the frontier order. *)
+       if not (Float.is_finite s.Sink.cap && s.Sink.cap >= 0.0) then
+         invalid_arg
+           (Printf.sprintf "Net.make: sink %d has capacitance %g" i s.Sink.cap);
+       if not (Float.is_finite s.Sink.req) then
+         invalid_arg
+           (Printf.sprintf "Net.make: sink %d has required time %g" i
+              s.Sink.req))
     arr;
   { name; source; driver; sinks = arr }
 

@@ -12,8 +12,9 @@ type t = {
 }
 
 (** [make ~name ~source ~driver sinks] validates that sink ids are exactly
-    [0 .. n-1] in order.  Raises [Invalid_argument] otherwise or if the net
-    has no sinks. *)
+    [0 .. n-1] in order, that every sink capacitance is finite and
+    non-negative and that every required time is finite.  Raises
+    [Invalid_argument] otherwise or if the net has no sinks. *)
 val make :
   name:string -> source:Point.t -> driver:Delay_model.t -> Sink.t list -> t
 

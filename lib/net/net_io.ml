@@ -95,8 +95,10 @@ let of_string text =
   in
   List.iteri (fun i line -> parse (i + 1) line) lines;
   match (!name, !source, !driver) with
-  | Some name, Some source, Some driver ->
-    Net.make ~name ~source ~driver (List.rev !sinks)
+  | Some name, Some source, Some driver -> (
+    match Net.make ~name ~source ~driver (List.rev !sinks) with
+    | net -> net
+    | exception Invalid_argument msg -> failwith ("Net_io.of_string: " ^ msg))
   | None, _, _ -> failwith "Net_io.of_string: missing 'net' line"
   | _, None, _ -> failwith "Net_io.of_string: missing 'source' line"
   | _, _, None -> failwith "Net_io.of_string: missing 'driver' line"

@@ -22,7 +22,10 @@ val to_string : Net.t -> string
     cache key. *)
 val fingerprint : Net.t -> string
 
-(** Raises [Failure] with a line-numbered message on malformed input. *)
+(** Raises [Failure] with a line-numbered message on malformed input,
+    and with {!Net.make}'s message on a net it rejects (sink ids out of
+    order or repeated, a non-finite or negative capacitance, a
+    non-finite required time). *)
 val of_string : string -> Net.t
 
 (** Canonical multi-net (netlist file) form: the [to_string] blocks

@@ -12,7 +12,12 @@ let delay_slew t ~load ~slew_in =
   let slew_out = t.s0 +. (slew_fraction *. rc) in
   (d, slew_out)
 
-let delay t ~load = fst (delay_slew t ~load ~slew_in:nominal_slew)
+(* [delay_slew]'s delay at the nominal slew, the same float expression
+   without the result tuple: the DP's buffer moves call this once per
+   candidate. *)
+let delay t ~load =
+  let rc = Tech.ps_per_ohm_ff *. t.r_drive *. load in
+  t.d0 +. rc +. (t.k_slew *. nominal_slew)
 
 let pp ppf t =
   Format.fprintf ppf "d0=%.1fps r=%.0fohm ks=%.2f s0=%.1fps" t.d0 t.r_drive

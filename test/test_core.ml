@@ -409,16 +409,28 @@ let test_config_presets () =
 (* Work pin for the golden route's net (test/golden_route_r7s5.expected): the
    same net and configuration as `merlin-cli route --random 7 --seed 5`.
    Deterministic counts, so a change that loses the cell sharing of a
-   construct fails here without any timing. *)
+   construct, or changes how much work the *P_Tree kernel does, fails
+   here without any timing.  The kernel counters are process-wide, so
+   the pin reads their growth over this one run. *)
 let test_merlin_cell_sharing_pin () =
   let net = Net_gen.random_net ~seed:5 ~name:"random" ~n:7 tech in
+  let counters =
+    Star_ptree.
+      [ ("joins", n_joins, 19551); ("join adds", n_join_adds, 1924015);
+        ("join survivors", n_join_survivors, 440129);
+        ("close adds", n_close_adds, 1627024) ]
+  in
+  let before = List.map (fun (_, c, _) -> Atomic.get c) counters in
   let out =
     Option.get (Merlin.run ~cfg:(Config.scaled 7) ~tech ~buffers net)
   in
   Alcotest.(check int) "loops" 2 out.Merlin.loops;
   Alcotest.(check int) "merges" 1124 out.Merlin.merges;
   Alcotest.(check int) "cells built" 1914 out.Merlin.cells_built;
-  Alcotest.(check int) "cells reused" 4898 out.Merlin.cells_reused
+  Alcotest.(check int) "cells reused" 4898 out.Merlin.cells_reused;
+  List.iter2
+    (fun (name, c, want) b -> Alcotest.(check int) name want (Atomic.get c - b))
+    counters before
 
 let suite =
   ( "core",

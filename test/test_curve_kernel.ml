@@ -203,6 +203,89 @@ let modes =
          let capped = obs (build_bag ~max_frontier:cap bag) in
          capped = List.filteri (fun i _ -> i < cap) exact) ]
 
+(* The selection cap against the rebuild-based cap it replaced
+   (Curve_reference.cap_rebuild), on random frontiers and every small
+   cap, frontiers no larger than the cap included. *)
+let arb_bag_cap = QCheck.pair arb_bag (QCheck.int_range 2 8)
+
+(* Join-shaped batch: every (a, b) pair of two curves, pushed as the
+   join cost with a packed (a, b) payload; close-shaped batch: a curve's
+   own points (payload: position) then each point under two pseudo
+   buffers (payload: position plus 1 + buffer index above it) — the
+   payload shapes of Star_ptree's join and buffer-closure batches. *)
+let bits = 21
+let mask = (1 lsl bits) - 1
+
+let join_batch ?grids la lb =
+  let bld = Curve.Builder.create () in
+  List.iteri
+    (fun a sa ->
+       List.iteri
+         (fun b sb ->
+            Curve.Builder.push bld
+              ~req:(Float.min sa.Solution.req sb.Solution.req)
+              ~load:(sa.Solution.load +. sb.Solution.load)
+              ~area:(sa.Solution.area +. sb.Solution.area)
+              ((a lsl bits) lor b))
+         lb)
+    la;
+  let left = Array.of_list la and right = Array.of_list lb in
+  ( Curve.Builder.build ?grids bld,
+    fun code ->
+      (left.(code lsr bits).Solution.data, right.(code land mask).Solution.data) )
+
+let close_batch ?grids c =
+  let bld = Curve.Builder.create () in
+  let n = Curve.size c in
+  for i = 0 to n - 1 do
+    let s = Curve.get c i in
+    Curve.Builder.push bld ~req:s.Solution.req ~load:s.Solution.load
+      ~area:s.Solution.area i
+  done;
+  let bufs = [| (1.0, 0.5, 2.0); (0.5, 1.5, 4.0) |] in
+  for i = 0 to n - 1 do
+    let s = Curve.get c i in
+    Array.iteri
+      (fun b (r, cin, area) ->
+         Curve.Builder.push bld
+           ~req:(s.Solution.req -. 1.0 -. (r *. s.Solution.load))
+           ~load:cin ~area:(s.Solution.area +. area)
+           (((b + 1) lsl bits) lor i))
+      bufs
+  done;
+  ( Curve.Builder.build ?grids bld,
+    fun code -> ((Curve.get c (code land mask)).Solution.data, code lsr bits) )
+
+let fused =
+  [ qtest "selection cap = rebuild cap (max_size 2-8)" arb_bag_cap
+      (fun (bag, max_size) ->
+         let c = Curve.of_list (bag_to_sols bag) in
+         let capped = Curve.cap ~max_size c in
+         obs capped = obs (Curve_reference.cap_rebuild ~max_size c)
+         && Curve.size capped <= max_size
+         && (Curve.size c > max_size || obs capped = obs c));
+    qtest "join batch: build, cap, materialise = build, materialise, cap"
+      (QCheck.triple arb_bag arb_bag (QCheck.int_range 2 8))
+      (fun (ba, bb, max_size) ->
+         let la = Curve.to_list (Curve.of_list (bag_to_sols ba))
+         and lb = Curve.to_list (Curve.of_list (bag_to_sols bb)) in
+         List.for_all
+           (fun grids ->
+              let built, mat = join_batch ?grids la lb in
+              obs (Curve.map_data mat (Curve.cap ~max_size built))
+              = obs (Curve.cap ~max_size (Curve.map_data mat built)))
+           [ None; Some (3.0, 2.0, 5.0) ]);
+    qtest "close batch: build, cap, materialise = build, materialise, cap"
+      arb_bag_cap
+      (fun (bag, max_size) ->
+         let c = Curve.of_list (bag_to_sols bag) in
+         List.for_all
+           (fun grids ->
+              let built, mat = close_batch ?grids c in
+              obs (Curve.map_data mat (Curve.cap ~max_size built))
+              = obs (Curve.cap ~max_size (Curve.map_data mat built)))
+           [ None; Some (3.0, 2.0, 5.0) ]) ]
+
 (* Regression for the batch cap: the four extreme points — best required
    time, least load, least area, and the last curve element — survive
    capping whenever the cap has room for them. *)
@@ -287,4 +370,4 @@ let suite =
       Alcotest.test_case "builder lifecycle" `Quick test_builder_lifecycle;
       Alcotest.test_case "batch results pass contracts" `Quick
         test_batch_contracts ]
-    @ equiv @ modes )
+    @ equiv @ modes @ fused )

@@ -90,6 +90,55 @@ let test_io_errors () =
   Alcotest.check_raises "missing net" (Failure "Net_io.of_string: missing 'net' line")
     (fun () -> ignore (Net_io.of_string "source 0 0\ndriver 1 1 1 1\nsink 0 0 0 1 1"))
 
+(* Sink values the DPs cannot order are rejected where a net is made,
+   and a net file holding one is a parse error, not an escaped
+   exception. *)
+let bad_sink_cases =
+  [ ("NaN capacitance", "nan", "100", "Net.make: sink 0 has capacitance nan");
+    ("infinite capacitance", "inf", "100",
+     "Net.make: sink 0 has capacitance inf");
+    ("-infinite capacitance", "-inf", "100",
+     "Net.make: sink 0 has capacitance -inf");
+    ("negative capacitance", "-1", "100",
+     "Net.make: sink 0 has capacitance -1");
+    ("NaN required time", "5", "nan", "Net.make: sink 0 has required time nan");
+    ("infinite required time", "5", "inf",
+     "Net.make: sink 0 has required time inf");
+    ("-infinite required time", "5", "-inf",
+     "Net.make: sink 0 has required time -inf") ]
+
+let test_make_rejects_bad_sinks () =
+  List.iter
+    (fun (what, cap, req, msg) ->
+       let s =
+         Sink.make ~id:0 ~pt:(Point.make 1 1) ~cap:(float_of_string cap)
+           ~req:(float_of_string req)
+       in
+       Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+           ignore
+             (Net.make ~name:"t" ~source:Point.origin
+                ~driver:Net.default_driver [ s ])))
+    bad_sink_cases
+
+let net_text sinks =
+  "net t\nsource 0 0\ndriver 80 6000 0.12 30\n" ^ String.concat "" sinks
+
+let test_io_rejects_bad_sinks () =
+  List.iter
+    (fun (what, cap, req, msg) ->
+       Alcotest.check_raises what (Failure ("Net_io.of_string: " ^ msg))
+         (fun () ->
+            ignore
+              (Net_io.of_string
+                 (net_text [ Printf.sprintf "sink 0 1 1 %s %s\n" cap req ]))))
+    bad_sink_cases;
+  Alcotest.check_raises "duplicate id"
+    (Failure "Net_io.of_string: Net.make: sink at index 1 has id 0")
+    (fun () ->
+       ignore
+         (Net_io.of_string
+            (net_text [ "sink 0 1 1 5 100\n"; "sink 0 2 2 5 100\n" ])))
+
 let qtest name ?(count = 50) arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
 
@@ -158,5 +207,9 @@ let suite =
       Alcotest.test_case "io roundtrip" `Quick test_io_roundtrip;
       Alcotest.test_case "io many roundtrip" `Quick test_io_many_roundtrip;
       Alcotest.test_case "io errors" `Quick test_io_errors;
+      Alcotest.test_case "make rejects bad sink values" `Quick
+        test_make_rejects_bad_sinks;
+      Alcotest.test_case "io rejects bad sink values" `Quick
+        test_io_rejects_bad_sinks;
       Alcotest.test_case "shape names" `Quick test_shape_names ]
     @ props )
