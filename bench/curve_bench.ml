@@ -107,7 +107,7 @@ let run_adds ~rand ~reps s =
     time_it reps (fun () ->
         let bld = Curve.Builder.create () in
         Array.iter (Curve.Builder.add bld) candidates;
-        Curve.Builder.build bld)
+        Curve.Builder.build bld Fun.id)
   in
   let ref_sum =
     List.fold_left
@@ -155,7 +155,7 @@ let run_join ~reps f =
                     (a.Solution.data, b.Solution.data))
                right)
           left;
-        Curve.Builder.build bld)
+        Curve.Builder.build bld Fun.id)
   in
   if Curve.size batch_out <> Curve_reference.size ref_out then
     failwith "Curve_bench.run_join: implementations disagree";

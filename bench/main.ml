@@ -442,15 +442,15 @@ let hier_table ~opts pool () =
 
 (* Committed allocation budget for the exact-mode workload below:
    bytes allocated per join build (Gc.allocated_bytes delta around the
-   join kernel entry point; the guarded exact rows measured 7.08K at
-   n=10 and 5.93K at n=12 with the cap-before-materialise kernel — see
-   EXPERIMENTS.md "Bytes moved").  The --smoke run fails when the
+   join kernel entry point; the guarded exact rows measured 2.86K at
+   n=10 and 2.48K at n=12 with the prune-on-push, capped-build kernel —
+   see EXPERIMENTS.md "Bytes moved").  The --smoke run fails when the
    measured value exceeds this by more than 25%, so an accidental
    return to per-build scratch, per-candidate boxing or materialising
-   trees the cap drops cannot land silently.  Lower it (to the measured
-   exact-n10 value, recorded in EXPERIMENTS.md) when the kernel
+   solutions the cap drops cannot land silently.  Lower it (to the
+   measured exact-n10 value, recorded in EXPERIMENTS.md) when the kernel
    deliberately changes; never raise it. *)
-let alloc_budget_bytes_per_join = 7100.0
+let alloc_budget_bytes_per_join = 2900.0
 
 type kernel_snap = {
   k_joins : int;

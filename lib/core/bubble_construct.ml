@@ -277,10 +277,10 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
             match merge_blds.(p) with
             | None -> Curve.empty
             | Some bld ->
-              Curve.cap ~max_size:cfg.Config.max_curve
-                (Curve.Builder.build ~name:"Bubble_construct.merge"
-                   ~epsilon:cfg.Config.curve_epsilon
-                   ~max_frontier:cfg.Config.max_frontier bld))
+              Curve.Builder.build ~name:"Bubble_construct.merge"
+                ~epsilon:cfg.Config.curve_epsilon
+                ~max_frontier:cfg.Config.max_frontier
+                ~max_size:cfg.Config.max_curve bld Fun.id)
     in
     gamma_put cov_len e_out r_out capped
   in
@@ -328,7 +328,7 @@ let construct ?candidates ~cfg ~tech ~buffers (net : Net.t) order =
              ~load:at_source.Solution.load ~area:at_source.Solution.area
              at_source.Solution.data))
         top;
-      Curve.Builder.build ~name:"Bubble_construct.to_driver" bld
+      Curve.Builder.build ~name:"Bubble_construct.to_driver" bld Fun.id
   in
   { curve = final; candidates; merges = !merges;
     cells_built = Star_ptree.cells_built ctx;

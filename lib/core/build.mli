@@ -44,6 +44,17 @@ val join : Point.t -> sol -> sol -> sol
 (** The root attachment point. *)
 val root : sol -> Point.t
 
+(** Data-only twins of the moves above: the structure the move's
+    solution would carry, without allocating the {!Solution.t}.  The
+    batch DP loops map the picks of a {!Curve.Builder.build} through
+    them.  [join_data] raises like {!join}. *)
+
+val extend_wire_data : to_:Point.t -> sol -> t
+
+val add_root_buffer_data : Buffer_lib.buffer -> t Solution.t -> t
+
+val join_data : Point.t -> t Solution.t -> t Solution.t -> t
+
 (** Cost-only twins of the moves above: the (required time, load, area)
     the move would produce, computed with the same float expressions (so
     bit-identical), without constructing the routing tree.  Results are
@@ -51,7 +62,7 @@ val root : sol -> Point.t
     all-float storage, so the hot loops move three floats per candidate
     without allocating a tuple or boxing (DESIGN.md §9).  The batch DP
     loops push the record with {!Curve.Builder.push_cost} and
-    materialise trees only for the frontier survivors. *)
+    materialise trees only for the picks the build keeps. *)
 
 val extend_wire_cost_into : Curve.Builder.cost -> Tech.t -> to_:Point.t -> sol -> unit
 

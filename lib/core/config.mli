@@ -16,8 +16,9 @@ type chain_placement =
 type t = {
   alpha : int;  (** max branching factor of the C-alpha tree (>= 2) *)
   max_curve : int;
-      (** safety cap on every solution curve (>= 2), Curve.cap; with the
-          quantisation grids below the natural frontier rarely reaches it *)
+      (** safety cap on every solution curve (>= 2), the [max_size] of
+          {!Curve.Builder.build}; with the quantisation grids below the
+          natural frontier rarely reaches it *)
   quant_req : float;
       (** required-time bucket, ps (0 disables); rounded down *)
   quant_load : float;
@@ -56,7 +57,7 @@ type t = {
       (** hard cap on survivors kept by every frontier build (the
           width-capped sweep keeps the best-req prefix of the exact
           frontier).  0 disables; >= 2 otherwise.  Unlike [max_curve]
-          (applied after a build by {!Curve.cap}, keeping spread), this
+          (a selection from what a build kept, keeping spread), this
           truncates inside the sweep and so also bounds the work of
           downstream joins.  DESIGN.md §9. *)
 }

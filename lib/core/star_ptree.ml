@@ -100,7 +100,7 @@ type t = {
      run (the builders own their sort/staircase scratch, see
      Curve.Builder): joins, buffer closures and extend-to-root batches
      (pull and bases never interleave).  Steady-state cells allocate
-     only their survivor arrays. *)
+     only the solutions their builds return. *)
   join_bld : int Curve.Builder.b;
   close_bld : int Curve.Builder.b;
   extend_bld : Build.sol Curve.Builder.b;
@@ -181,16 +181,16 @@ let push_quant t bld payload =
 (* Payloads of the join and buffer-closure batches are packed ints of
    [index_bits]-wide fields (solution positions read back with
    Curve.get), so the hot loops push one immediate per candidate and
-   only the capped survivors build a tree. *)
+   only the cap's picks build a tree. *)
 let index_bits = 21
 let index_mask = (1 lsl index_bits) - 1
 
 (* Curve.Builder.build with the run-wide epsilon / frontier-cap knobs
-   (both default off = exact). *)
-let build t ~name bld =
-  Curve.Builder.build ~name ~epsilon:t.epsilon ~max_frontier:t.max_frontier bld
-
-let finish t curve = Curve.cap ~max_size:t.max_curve curve
+   (both default off = exact) and the [max_curve] cap: only the picks
+   are materialised, through [f]. *)
+let build t ~name bld f =
+  Curve.Builder.build ~name ~epsilon:t.epsilon ~max_frontier:t.max_frontier
+    ~max_size:t.max_curve bld f
 
 (* Try each buffer on every unbuffered root; re-buffering an existing
    buffer (a same-point repeater) is dominated by picking the right
@@ -199,7 +199,7 @@ let finish t curve = Curve.cap ~max_size:t.max_curve curve
    equal-cost ties resolve exactly as they did when the candidates were
    added one by one into the existing curve.  The payload is the
    solution's position, plus 1 + the buffer's index above it for a
-   buffered candidate; the cap runs before any tree is built. *)
+   buffered candidate; only the cap's picks build a tree. *)
 let close_buffers t curve =
   if Curve.is_empty curve then curve
   else begin
@@ -225,28 +225,24 @@ let close_buffers t curve =
         done
     done;
     let out =
-      finish t (build t ~name:"Star_ptree.close_buffers" bld)
-      |> Curve.map_data (fun code ->
+      build t ~name:"Star_ptree.close_buffers" bld (fun code ->
           let sol = Curve.get curve (code land index_mask) in
           match code lsr index_bits with
           | 0 -> sol.Solution.data
-          | b -> (Build.add_root_buffer t.subset.(b - 1) sol).Solution.data)
+          | b -> Build.add_root_buffer_data t.subset.(b - 1) sol)
     in
     add_bytes bytes_close before;
     out
   end
 
 (* Extend-to-[root] batches: coordinates are pushed (quantised) from
-   extend_wire_cost; only the capped frontier grows a wire in its
-   trees. *)
+   extend_wire_cost; only the cap's picks grow a wire in their trees. *)
 let push_extend t root sol =
   Build.extend_wire_cost_into t.cost t.tech ~to_:root sol;
   push_quant t t.extend_bld sol
 
 let materialise_extend t ~name root =
-  Curve.map_data
-    (fun sol -> (Build.extend_wire t.tech ~to_:root sol).Solution.data)
-    (finish t (build t ~name t.extend_bld))
+  build t ~name t.extend_bld (Build.extend_wire_data ~to_:root)
 
 let extend_all t ~name root curves =
   Curve.Builder.clear t.extend_bld;
@@ -388,7 +384,7 @@ let run t ~active ~terminals =
           (* The join product: push every (a, b) cost pair, keyed by
              the split (relative to the cell's first terminal) and both
              positions; prune and cap once, and only build the joined
-             trees that survive. *)
+             trees the cap picks. *)
           let bld = t.join_bld in
           Curve.Builder.clear bld;
           Array.iteri
@@ -407,18 +403,18 @@ let run t ~active ~terminals =
                  done
                done)
             subs;
-          let frontier = build t ~name:"Star_ptree.join" bld in
           let out =
-            finish t frontier
-            |> Curve.map_data (fun code ->
+            build t ~name:"Star_ptree.join" bld (fun code ->
                 let l, r = subs.(code lsr (2 * index_bits)) in
                 let a = (code lsr index_bits) land index_mask
                 and b = code land index_mask in
-                (Build.join root (Curve.get (cell_at t l p) a)
-                   (Curve.get (cell_at t r p) b)).Solution.data)
+                Build.join_data root (Curve.get (cell_at t l p) a)
+                  (Curve.get (cell_at t r p) b))
           in
           Atomic.incr n_joins;
-          ignore (Atomic.fetch_and_add n_join_survivors (Curve.size frontier));
+          ignore
+            (Atomic.fetch_and_add n_join_survivors
+               (Curve.Builder.survivors bld));
           add_bytes bytes_join before;
           out
       end

@@ -8,8 +8,10 @@
 
    The batch path is [Builder]: candidates accumulate into
    structure-of-arrays floatarray storage (req/load/area) plus a data
-   array, and [Builder.build] prunes the whole bag at once with one
-   stable sort and one staircase sweep.  The sweep exploits the key
+   array, each push dropping itself or popping the stored candidates it
+   dominates, and [Builder.build] prunes what is left at once with one
+   stable sort and one staircase sweep, then allocates solutions only
+   for the picks of its optional cap.  The sweep exploits the key
    order (req descending, then load, then area ascending): a processed
    point can only be dominated by an earlier one, and a kept point is
    never invalidated later, so maintaining the 2-D (load, area) minima
@@ -47,16 +49,15 @@ module Builder = struct
     mutable load : floatarray;
     mutable area : floatarray;
     mutable data : 'a array; (* empty until the first push, then >= len *)
-    mutable len : int;
+    mutable len : int; (* stored candidates: the pushes not pruned yet *)
+    mutable pushed : int; (* candidates offered since the last clear *)
+    mutable survivors : int; (* frontier of the last build, before its cap *)
     (* Build-time scratch, owned by the builder so a cleared and reused
        builder allocates nothing on the next build (grow-only; sized to
-       the push-storage capacity in one step).  [qreq]/[qload]/[qarea]
-       hold the quantised coordinates, [keys] the sort keys (push
-       indices), [tmp] the merge buffer, [keep] the surviving indices
-       and [st_load]/[st_area] the staircase. *)
-    mutable qreq : floatarray;
-    mutable qload : floatarray;
-    mutable qarea : floatarray;
+       the push-storage capacity in one step).  [keys] holds the sort
+       keys (storage indices), [tmp] the merge buffer and then the cap's
+       picks, [keep] the surviving indices and [st_load]/[st_area] the
+       staircase. *)
     mutable keys : int array;
     mutable tmp : int array;
     mutable keep : int array;
@@ -71,21 +72,24 @@ module Builder = struct
       area = Float.Array.create hint;
       data = [||];
       len = 0;
-      qreq = Float.Array.create 0;
-      qload = Float.Array.create 0;
-      qarea = Float.Array.create 0;
+      pushed = 0;
+      survivors = 0;
       keys = [||];
       tmp = [||];
       keep = [||];
       st_load = Float.Array.create 0;
       st_area = Float.Array.create 0 }
 
-  let length b = b.len
+  let length b = b.pushed
+
+  let survivors b = b.survivors
 
   (* [clear] keeps all storage (including payload references past the
      new length, until they are overwritten by later pushes — scratch
      builders hold whatever the hot path last routed, never less). *)
-  let clear b = b.len <- 0
+  let clear b =
+    b.len <- 0;
+    b.pushed <- 0
 
   (* Ensure room for one more element; [elt] seeds the data array (an
      'a array cannot grow without a fill element). *)
@@ -109,15 +113,45 @@ module Builder = struct
       b.data <- nd
     end
 
-  (* Inlined into the DP push sites so the float coordinates reach the
-     floatarray stores unboxed instead of boxing at the call. *)
-  let[@inline] push b ~req ~load ~area data =
-    reserve b data;
-    Float.Array.set b.req b.len req;
-    Float.Array.set b.load b.len load;
-    Float.Array.set b.area b.len area;
-    b.data.(b.len) <- data;
-    b.len <- b.len + 1
+  (* Prune on push: the one path every candidate enters by.  The last
+     stored candidate is compared with the new one: if it weakly
+     dominates the new one in all three coordinates (equal keys
+     included) the new one is dropped; while the new one dominates the
+     top (then strictly), the top is popped.  Either way the loser is
+     dominated by a candidate that precedes it in the sort order (weak
+     dominance plus an earlier push, or strict dominance), and such a
+     candidate is never kept by the sweep in [build] — in exact, epsilon
+     and max_frontier mode alike — so the build's output, tie winners
+     included, is that of the unpruned bag (DESIGN.md §9).  NaN
+     comparisons are false: a NaN candidate is never pruned here.
+     Inlined into [push] and [push_cost] so the coordinates stay
+     unboxed. *)
+  let[@inline] store b req load area data =
+    b.pushed <- b.pushed + 1;
+    let len = ref b.len and admit = ref true and scan = ref true in
+    while !scan && !len > 0 do
+      let t = !len - 1 in
+      let r = Float.Array.get b.req t
+      and l = Float.Array.get b.load t
+      and a = Float.Array.get b.area t in
+      if r >= req && l <= load && a <= area then begin
+        admit := false;
+        scan := false
+      end
+      else if req >= r && load <= l && area <= a then len := t
+      else scan := false
+    done;
+    b.len <- !len;
+    if !admit then begin
+      reserve b data;
+      Float.Array.set b.req b.len req;
+      Float.Array.set b.load b.len load;
+      Float.Array.set b.area b.len area;
+      b.data.(b.len) <- data;
+      b.len <- b.len + 1
+    end
+
+  let[@inline] push b ~req ~load ~area data = store b req load area data
 
   (* Boxing-free coordinate hand-off for the DP hot paths: an all-float
      record is flat (fields stored unboxed), so a cost writer fills it
@@ -129,17 +163,10 @@ module Builder = struct
 
   let new_cost () = { creq = 0.0; cload = 0.0; carea = 0.0 }
 
-  let push_cost b (c : cost) data =
-    reserve b data;
-    Float.Array.set b.req b.len c.creq;
-    Float.Array.set b.load b.len c.cload;
-    Float.Array.set b.area b.len c.carea;
-    b.data.(b.len) <- data;
-    b.len <- b.len + 1
+  let push_cost b (c : cost) data = store b c.creq c.cload c.carea data
 
   let add b (s : 'a Solution.t) =
-    push b ~req:s.Solution.req ~load:s.Solution.load ~area:s.Solution.area
-      s.Solution.data
+    store b s.Solution.req s.Solution.load s.Solution.area s.Solution.data
 
   let add_curve b c =
     match c with Empty -> () | F arr -> Array.iter (add b) arr
@@ -150,9 +177,6 @@ module Builder = struct
   let ensure_scratch b =
     let cap = Float.Array.length b.req in
     if Array.length b.keys < cap then begin
-      b.qreq <- Float.Array.create cap;
-      b.qload <- Float.Array.create cap;
-      b.qarea <- Float.Array.create cap;
       b.keys <- Array.make cap 0;
       b.tmp <- Array.make cap 0;
       b.keep <- Array.make cap 0;
@@ -161,19 +185,19 @@ module Builder = struct
     end
 
   (* Candidate [i] sorts no later than [j] in compare_key order (req
-     descending, then load, then area ascending), ties broken by push
-     index so the sort is stable.  The strict float tests settle the
-     common case; equal or NaN coordinates fall through to
+     descending, then load, then area ascending), ties broken by storage
+     index — push order — so the sort is stable.  The strict float tests
+     settle the common case; equal or NaN coordinates fall through to
      [Float.compare], the order [Solution.compare_key] uses. *)
-  let[@inline] key_le qreq qload qarea i j =
-    let ri = Float.Array.get qreq i and rj = Float.Array.get qreq j in
+  let[@inline] key_le req load area i j =
+    let ri = Float.Array.get req i and rj = Float.Array.get req j in
     if ri > rj then true
     else if ri < rj then false
     else
       let c = Float.compare rj ri in
       if c <> 0 then c < 0
       else
-        let li = Float.Array.get qload i and lj = Float.Array.get qload j in
+        let li = Float.Array.get load i and lj = Float.Array.get load j in
         if li < lj then true
         else if li > lj then false
         else
@@ -181,7 +205,7 @@ module Builder = struct
           if c <> 0 then c < 0
           else
             let c =
-              Float.compare (Float.Array.get qarea i) (Float.Array.get qarea j)
+              Float.compare (Float.Array.get area i) (Float.Array.get area j)
             in
             if c <> 0 then c < 0 else i <= j
 
@@ -192,7 +216,7 @@ module Builder = struct
      scratch array, and [Array.stable_sort] allocates a fresh run buffer
      per call).  Small runs are seeded with an insertion pass, like the
      stdlib's cutoff. *)
-  let sort_keys qreq qload qarea keys tmp n =
+  let sort_keys req load area keys tmp n =
     let run = 16 in
     let lo = ref 0 in
     while !lo < n do
@@ -200,7 +224,7 @@ module Builder = struct
       for i = !lo + 1 to hi - 1 do
         let v = keys.(i) in
         let j = ref i in
-        while !j > !lo && not (key_le qreq qload qarea keys.(!j - 1) v) do
+        while !j > !lo && not (key_le req load area keys.(!j - 1) v) do
           keys.(!j) <- keys.(!j - 1);
           decr j
         done;
@@ -218,7 +242,7 @@ module Builder = struct
         let hi = min n (mid + !width) in
         let i = ref !lo and j = ref mid and w = ref !lo in
         while !i < mid && !j < hi do
-          if key_le qreq qload qarea s.(!i) s.(!j) then begin
+          if key_le req load area s.(!i) s.(!j) then begin
             d.(!w) <- s.(!i);
             incr i
           end
@@ -239,11 +263,58 @@ module Builder = struct
     done;
     if !src != keys then Array.blit !src 0 keys 0 n (* lint: physical-eq *)
 
-  (* One sort + one staircase sweep over the accumulated bag.  Ties
+  (* The cap's selection over the [n] kept indices (positions in sweep
+     order): the first (best required time), least-load, least-area and
+     last points, then an even spread along the required-time axis.
+     The picks go through [tmp] (free once the sort is done), sorted and
+     deduplicated, truncated to [max_size] in curve order when the four
+     extremes overflow a very small cap; [keep] is then compacted to the
+     picks in place (picks ascend, so no pick is overwritten before it is
+     read).  Returns the number of picks. *)
+  let select b n max_size =
+    let keep = b.keep and picks = b.tmp in
+    let argmin_load = ref 0 and argmin_area = ref 0 in
+    for t = 1 to n - 1 do
+      let i = keep.(t) in
+      if Float.Array.get b.load i < Float.Array.get b.load keep.(!argmin_load)
+      then argmin_load := t;
+      if Float.Array.get b.area i < Float.Array.get b.area keep.(!argmin_area)
+      then argmin_area := t
+    done;
+    let spread = max 0 (max_size - 4) in
+    let np = 4 + spread in
+    picks.(0) <- 0;
+    picks.(1) <- !argmin_load;
+    picks.(2) <- !argmin_area;
+    picks.(3) <- n - 1;
+    for k = 0 to spread - 1 do
+      picks.(4 + k) <- 1 + (k * (n - 2) / max 1 spread)
+    done;
+    for t = 1 to np - 1 do
+      let v = picks.(t) in
+      let j = ref t in
+      while !j > 0 && picks.(!j - 1) > v do
+        picks.(!j) <- picks.(!j - 1);
+        decr j
+      done;
+      picks.(!j) <- v
+    done;
+    let len = ref 0 in
+    for t = 0 to np - 1 do
+      let i = picks.(t) in
+      if !len < max_size && (!len = 0 || picks.(!len - 1) <> i) then begin
+        picks.(!len) <- i;
+        incr len
+      end
+    done;
+    for t = 0 to !len - 1 do
+      keep.(t) <- keep.(picks.(t))
+    done;
+    !len
+
+  (* One sort + one staircase sweep over the stored candidates.  Ties
      (equal coordinate keys) keep the earliest push, matching the
-     incremental [add]'s first-wins behaviour.  [grids] quantises every
-     coordinate before the sweep (the per-candidate quantisation of the
-     DP cores, fused into the batch pass).
+     incremental [add]'s first-wins behaviour.
 
      [epsilon] > 0 additionally drops a candidate when some kept point
      is within [epsilon] of it in both load and area (at automatically
@@ -252,37 +323,30 @@ module Builder = struct
      [max_frontier] > 0 stops the sweep after that many survivors; the
      result is the best-req prefix of the unbounded frontier.  Both
      default off, and exact mode is byte-identical to the knob-free
-     build. *)
-  let build ?(name = "Curve.Builder.build") ?(grids = (0.0, 0.0, 0.0))
-      ?(epsilon = 0.0) ?(max_frontier = 0) b =
+     build.  [max_size] then selects the cap's picks on the kept
+     indices, and only the picks become solutions, their payloads
+     mapped through [f]. *)
+  let build ?(name = "Curve.Builder.build") ?(epsilon = 0.0)
+      ?(max_frontier = 0) ?max_size b f =
     let n = b.len in
     if epsilon < 0.0 then invalid_arg "Curve.Builder.build: epsilon < 0";
     if max_frontier < 0 then
       invalid_arg "Curve.Builder.build: max_frontier < 0";
-    if n = 0 then Empty
+    (match max_size with
+     | Some m when m < 2 -> invalid_arg "Curve.Builder.build: max_size < 2"
+     | Some _ | None -> ());
+    if n = 0 then begin
+      b.survivors <- 0;
+      Empty
+    end
     else begin
       ensure_scratch b;
       let cap = if max_frontier = 0 then max_int else max_frontier in
-      let req_grid, load_grid, area_grid = grids in
-      let quantised =
-        req_grid <> 0.0 || load_grid <> 0.0 || area_grid <> 0.0
-      in
-      let qreq = if quantised then b.qreq else b.req in
-      let qload = if quantised then b.qload else b.load in
-      let qarea = if quantised then b.qarea else b.area in
-      if quantised then
-        for i = 0 to n - 1 do
-          Float.Array.set qreq i
-            (Solution.grid_down req_grid (Float.Array.get b.req i));
-          Float.Array.set qload i
-            (Solution.grid_up load_grid (Float.Array.get b.load i));
-          Float.Array.set qarea i
-            (Solution.grid_up area_grid (Float.Array.get b.area i))
-        done;
+      let req = b.req and load = b.load and area = b.area in
       for i = 0 to n - 1 do
         b.keys.(i) <- i
       done;
-      sort_keys qreq qload qarea b.keys b.tmp n;
+      sort_keys req load area b.keys b.tmp n;
       (* Staircase of the kept points' (load, area) minima: load strictly
          increasing, area strictly decreasing. *)
       let st_load = b.st_load and st_area = b.st_area in
@@ -292,7 +356,7 @@ module Builder = struct
       let t = ref 0 in
       while !t < n && !nkeep < cap do
         let i = b.keys.(!t) in
-        let l = Float.Array.get qload i and a = Float.Array.get qarea i in
+        let l = Float.Array.get load i and a = Float.Array.get area i in
         (* Rightmost staircase entry with load <= l + epsilon (all kept
            points have req >= this one's, so load/area decide dominance;
            at epsilon 0 this is the exact dominance query). *)
@@ -348,14 +412,18 @@ module Builder = struct
         end;
         incr t
       done;
+      b.survivors <- !nkeep;
+      let len =
+        match max_size with
+        | Some m when !nkeep > m -> select b !nkeep m
+        | Some _ | None -> !nkeep
+      in
       let out =
-        Array.init !nkeep (fun t ->
+        Array.init len (fun t ->
             let i = keep.(t) in
-            Solution.make
-              ~req:(Float.Array.get qreq i)
-              ~load:(Float.Array.get qload i)
-              ~area:(Float.Array.get qarea i)
-              b.data.(i))
+            Solution.make ~req:(Float.Array.get req i)
+              ~load:(Float.Array.get load i) ~area:(Float.Array.get area i)
+              (f b.data.(i)))
       in
       F (Contract.check_arr ~name out)
     end
@@ -421,7 +489,7 @@ let add c s =
 let of_list sols =
   let b = Builder.create ~hint:(List.length sols) () in
   List.iter (Builder.add b) sols;
-  Builder.build ~name:"Curve.of_list" b
+  Builder.build ~name:"Curve.of_list" b Fun.id
 
 let union a b =
   match (a, b) with
@@ -430,18 +498,18 @@ let union a b =
     let bld = Builder.create ~hint:(size a + size b) () in
     Builder.add_curve bld a;
     Builder.add_curve bld b;
-    Builder.build ~name:"Curve.union" bld
+    Builder.build ~name:"Curve.union" bld Fun.id
 
-let map_data f c =
-  match c with Empty -> Empty | F arr -> F (Array.map (Solution.map f) arr)
-
-let map_solutions f c =
+(* Push [f] of every solution and re-prune. *)
+let rebuild ~name f c =
   match c with
   | Empty -> Empty
   | F arr ->
     let bld = Builder.create ~hint:(Array.length arr) () in
     Array.iter (fun s -> Builder.add bld (f s)) arr;
-    Builder.build ~name:"Curve.map_solutions" bld
+    Builder.build ~name bld Fun.id
+
+let map_solutions f c = rebuild ~name:"Curve.map_solutions" f c
 
 let fold f acc c = Array.fold_left f acc (to_array c)
 
@@ -484,68 +552,18 @@ let best_min_area c ~req =
     in
     scan 0 None
 
-(* Always keep the extreme point of each dimension (best required time,
-   least load, least area) and the last point, then spread the rest
-   evenly along the required-time axis.  The curve is a strictly sorted
-   frontier, so any subset of it is one too: the picks are sorted,
-   deduplicated and kept in curve order, with no rebuild.  For very
-   small caps the four extremes may overflow the cap; the selection is
-   then truncated in curve order. *)
-let cap ~max_size c =
-  if max_size < 2 then invalid_arg "Curve.cap: max_size < 2";
-  match c with
-  | Empty -> Empty
-  | F arr ->
-    let n = Array.length arr in
-    if n <= max_size then c
-    else begin
-      let argmin_load = ref 0 and argmin_area = ref 0 in
-      for i = 1 to n - 1 do
-        if arr.(i).Solution.load < arr.(!argmin_load).Solution.load then
-          argmin_load := i;
-        if arr.(i).Solution.area < arr.(!argmin_area).Solution.area then
-          argmin_area := i
-      done;
-      let spread = max 0 (max_size - 4) in
-      let picks = Array.make (4 + spread) 0 in
-      picks.(1) <- !argmin_load;
-      picks.(2) <- !argmin_area;
-      picks.(3) <- n - 1;
-      for k = 0 to spread - 1 do
-        picks.(4 + k) <- 1 + (k * (n - 2) / max 1 spread)
-      done;
-      Array.sort Int.compare picks;
-      let len = ref 0 in
-      Array.iter
-        (fun i ->
-           if !len < max_size && (!len = 0 || picks.(!len - 1) <> i) then begin
-             picks.(!len) <- i;
-             incr len
-           end)
-        picks;
-      F (Contract.check_arr ~name:"Curve.cap"
-           (Array.init !len (fun t -> arr.(picks.(t)))))
-    end
-
 let quantise_load ~grid c =
   if grid <= 0.0 then invalid_arg "Curve.quantise_load: grid <= 0";
-  match c with
-  | Empty -> Empty
-  | F _ ->
-    let bld = Builder.create ~hint:(size c) () in
-    Builder.add_curve bld c;
-    Builder.build ~name:"Curve.quantise_load" ~grids:(0.0, grid, 0.0) bld
+  rebuild ~name:"Curve.quantise_load"
+    (Solution.quantise ~req_grid:0.0 ~load_grid:grid ~area_grid:0.0)
+    c
 
 let quantise ~req_grid ~load_grid ~area_grid c =
   if req_grid < 0.0 || load_grid < 0.0 || area_grid < 0.0 then
     invalid_arg "Curve.quantise: negative grid";
-  match c with
-  | Empty -> Empty
-  | F _ ->
-    let bld = Builder.create ~hint:(size c) () in
-    Builder.add_curve bld c;
-    Builder.build ~name:"Curve.quantise"
-      ~grids:(req_grid, load_grid, area_grid) bld
+  rebuild ~name:"Curve.quantise"
+    (Solution.quantise ~req_grid ~load_grid ~area_grid)
+    c
 
 (* Pairwise non-domination scan; only reachable when the sorted-order
    invariant is somehow broken (see [is_frontier]). *)

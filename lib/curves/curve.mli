@@ -31,7 +31,11 @@ val get : 'a t -> int -> 'a Solution.t
 
 (** Batch accumulator: push candidate coordinates (and their payloads)
     into structure-of-arrays storage, then prune the whole bag at once.
-    Ties on {!Solution.compare_key} keep the earliest push, matching the
+    Every push compares the candidate with the last stored one: a
+    candidate that one weakly dominates is dropped, and the stored
+    candidates the new one dominates are popped — work the sweep in
+    {!build} would do anyway, with the same result.  Ties on
+    {!Solution.compare_key} keep the earliest push, matching the
     incremental {!add}. *)
 module Builder : sig
   type 'a b
@@ -40,9 +44,9 @@ module Builder : sig
       [hint] (it grows as needed). *)
   val create : ?hint:int -> unit -> 'a b
 
-  (** [push b ~req ~load ~area data] records one candidate without
+  (** [push b ~req ~load ~area data] offers one candidate without
       allocating a {!Solution.t} — the hot paths push raw costs and defer
-      building the carried structure to the frontier survivors. *)
+      building the carried structure to the picks of {!build}. *)
   val push : 'a b -> req:float -> load:float -> area:float -> 'a -> unit
 
   (** Mutable all-float coordinate carrier for the DP hot paths.  An
@@ -69,43 +73,54 @@ module Builder : sig
   (** [add_curve b c] pushes every solution of [c]. *)
   val add_curve : 'a b -> 'a t -> unit
 
-  (** Candidates pushed so far (pre-pruning). *)
+  (** Candidates offered since the last {!clear}, pruned on push or
+      not. *)
   val length : 'a b -> int
+
+  (** Frontier size of the last {!build}, before its [max_size] cap. *)
+  val survivors : 'a b -> int
 
   (** Forget all pushed candidates, keeping all storage — including the
       sort/staircase scratch grown by previous {!build}s, so a cleared
       builder reused across a DP's cells reaches a fixed point where
-      steady-state builds allocate only the survivor array.  A cleared
+      steady-state builds allocate only the picked solutions.  A cleared
       builder is observationally identical to a fresh one (property
       tested in [test/test_curve_kernel.ml]). *)
   val clear : 'a b -> unit
 
-  (** [build ?name ?grids ?epsilon ?max_frontier b] prunes the
+  (** [build ?name ?epsilon ?max_frontier ?max_size b f] prunes the
       accumulated bag to its non-inferior frontier: one sort + one
-      staircase sweep, O(P log P + P·F_insert) for P candidates and
-      frontier size F, versus O(P·F) for P repeated {!add}s.  [grids]
-      applies {!Solution.quantise} bucketing to every candidate during
-      the sweep (the DP cores' per-candidate quantisation, fused into
-      the batch pass).  The sort is one monomorphic merge sort with
-      the comparison inlined (DESIGN.md §9).  [name] labels
-      {!Contract} violations.
+      staircase sweep, O(P log P + P·F_insert) for P stored candidates
+      and frontier size F, versus O(P·F) for P repeated {!add}s.  The
+      sort is one monomorphic merge sort with the comparison inlined
+      (DESIGN.md §9).  [name] labels {!Contract} violations.  The
+      builder keeps its candidates: a second build sees the same bag.
 
       [epsilon > 0] additionally drops candidates epsilon-dominated by a
       kept point (within [epsilon] in both load and area at no-worse
-      req, measured on the quantised coordinates); [max_frontier > 0]
-      keeps only that prefix of the frontier (best req first).  Both
-      default off; [~epsilon:0.0] and an unreachably large
-      [max_frontier] are byte-identical to the exact build.  The result
-      is always mutually non-inferior — epsilon-domination subsumes
-      exact domination — so every {!Contract} invariant holds in every
-      mode. *)
+      req); [max_frontier > 0] keeps only that prefix of the frontier
+      (best req first).  Both default off; [~epsilon:0.0] and an
+      unreachably large [max_frontier] are byte-identical to the exact
+      build.  The result is always mutually non-inferior —
+      epsilon-domination subsumes exact domination — so every
+      {!Contract} invariant holds in every mode.
+
+      [max_size] (>= 2; default: no cap) reduces a larger frontier to at
+      most [max_size] points: the first (best required time), least-load,
+      least-area and last points, then an even spread along the
+      required-time axis, kept in curve order — a subset of a frontier,
+      so nothing is re-pruned (DESIGN.md §5, §9).  For very small caps
+      the four extremes may overflow the cap; the selection is then
+      truncated in curve order.  Only the kept points become solutions,
+      each payload mapped through [f]. *)
   val build :
     ?name:string ->
-    ?grids:float * float * float ->
     ?epsilon:float ->
     ?max_frontier:int ->
+    ?max_size:int ->
     'a b ->
-    'a t
+    ('a -> 'b) ->
+    'b t
 end
 
 (** [add curve s] inserts [s] unless an existing solution dominates it and
@@ -118,11 +133,6 @@ val of_list : 'a Solution.t list -> 'a t
 
 (** [union a b] is the pruned merge of both curves. *)
 val union : 'a t -> 'a t -> 'a t
-
-(** [map_data f c] maps only the carried payloads; coordinates — and
-    hence the frontier — are unchanged.  This is how hot paths
-    materialise deferred payloads after {!Builder.build}. *)
-val map_data : ('a -> 'b) -> 'a t -> 'b t
 
 (** [map_solutions f c] rebuilds the curve from [f] applied to each
     solution, re-pruning (used to push a solution through a wire or a
@@ -145,14 +155,6 @@ val best_under_area : 'a t -> area:float -> 'a Solution.t option
     at least [req] (problem variant II).  The scan early-exits at the
     first element below the floor (the curve is req-descending). *)
 val best_min_area : 'a t -> req:float -> 'a Solution.t option
-
-(** [cap ~max_size curve] reduces the curve to at most [max_size]
-    points by keeping an even spread along the required-time axis
-    (always keeping both extremes and the least-load and least-area
-    points); [max_size >= 2].  It selects: the kept points are the
-    curve's own solutions, in curve order, and nothing is re-pruned
-    (DESIGN.md §5, §9). *)
-val cap : max_size:int -> 'a t -> 'a t
 
 (** [quantise_load ~grid curve] rounds every load {e up} to a multiple of
     [grid] and re-prunes — the "capacitances mapped to polynomially bounded

@@ -36,6 +36,26 @@ let add c s =
 
 let of_list sols = List.fold_left add empty sols
 
+(* The batch build's specification with its knobs, on the whole
+   unpruned bag: stable sort by key, then keep each solution unless an
+   earlier kept one is within [epsilon] of it in both load and area,
+   until [max_frontier] are kept. *)
+let frontier ?(epsilon = 0.0) ?(max_frontier = 0) sols =
+  let cap = if max_frontier = 0 then max_int else max_frontier in
+  let covers s k =
+    k.Solution.load <= s.Solution.load +. epsilon
+    && k.Solution.area <= s.Solution.area +. epsilon
+  in
+  let kept =
+    List.fold_left
+      (fun kept s ->
+         if List.length kept >= cap || List.exists (covers s) kept then kept
+         else s :: kept)
+      []
+      (List.stable_sort Solution.compare_key sols)
+  in
+  List.rev kept
+
 let union a b = List.fold_left add a b
 
 let map_solutions f c = of_list (List.map f c)
@@ -82,9 +102,9 @@ let cap ~max_size c =
     else List.filteri (fun i _ -> i < max_size) capped
   end
 
-(* The rebuild-based [Curve.cap] that the selection cap replaced: the
-   picks go through a fresh builder and are re-pruned.  Kept as the
-   oracle the selection is property-tested against. *)
+(* The rebuild-based cap that the build's [max_size] selection
+   replaced: the picks go through a fresh builder and are re-pruned.
+   Kept as the oracle the selection is property-tested against. *)
 let cap_rebuild ~max_size c =
   if max_size < 2 then invalid_arg "Curve_reference.cap_rebuild: max_size < 2";
   let n = Curve.size c in
@@ -105,7 +125,7 @@ let cap_rebuild ~max_size c =
     for k = 0 to spread - 1 do
       Curve.Builder.add bld arr.(1 + (k * (n - 2) / max 1 spread))
     done;
-    let capped = Curve.Builder.build bld in
+    let capped = Curve.Builder.build bld Fun.id in
     if Curve.size capped <= max_size then capped
     else Curve.of_list (List.filteri (fun i _ -> i < max_size) (Curve.to_list capped))
   end

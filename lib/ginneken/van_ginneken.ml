@@ -22,10 +22,10 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
     | None -> tree
     | Some max_seg -> Rtree.refine ~max_seg tree
   in
-  let cap c = Curve.cap ~max_size:max_curve c in
   (* Existing solutions first, buffered candidates second, one batch
-     prune — the same tie-resolution as adding each candidate into the
-     existing curve, without the per-candidate frontier rebuilds. *)
+     prune and cap — the same tie-resolution as adding each candidate
+     into the existing curve, without the per-candidate frontier
+     rebuilds. *)
   let close c =
     let bld = Curve.Builder.create ~hint:(Curve.size c * (1 + Array.length subset)) () in
     Curve.Builder.add_curve bld c;
@@ -35,11 +35,11 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
            (fun b -> Curve.Builder.add bld (Build.add_root_buffer b sol))
            subset)
       c;
-    Curve.Builder.build ~name:"Van_ginneken.close" bld
+    Curve.Builder.build ~name:"Van_ginneken.close" ~max_size:max_curve bld
+      Fun.id
   in
   let rec walk = function
-    | Rtree.Leaf s ->
-      cap (close (Curve.add Curve.empty (Build.of_sink s)))
+    | Rtree.Leaf s -> close (Curve.of_list [ Build.of_sink s ])
     | Rtree.Node n ->
       let child_curve child =
         Curve.map_solutions
@@ -60,7 +60,9 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
                  (fun b -> Curve.Builder.add bld (Build.join n.Rtree.loc a b))
                  c)
             acc;
-          Some (cap (Curve.Builder.build ~name:"Van_ginneken.join" bld))
+          Some
+            (Curve.Builder.build ~name:"Van_ginneken.join" ~max_size:max_curve
+               bld Fun.id)
       in
       let joined =
         match List.fold_left join2 None n.Rtree.children with
@@ -74,7 +76,7 @@ let curve ~tech ~buffers ?trials ?(max_curve = 16) ?refine_seg tree =
         | Some b ->
           Curve.map_solutions (fun sol -> Build.add_root_buffer b sol) joined
       in
-      cap (close with_own_buffer)
+      close with_own_buffer
   in
   walk tree
 

@@ -89,7 +89,7 @@ let curve ~buffers ~max_fanout sinks =
       let width = j - i + 1 + (if j = n - 1 then 0 else 1) in
       if width <= max_fanout then try_group j
     done;
-    memo.(i) <- Curve.Builder.build ~name:"Lttree.links" bld
+    memo.(i) <- Curve.Builder.build ~name:"Lttree.links" bld Fun.id
   done;
   (* Root level: the driver (not a buffer) drives directs 0..j plus
      optionally the chain starting at j+1. *)
@@ -114,7 +114,7 @@ let curve ~buffers ~max_fanout sinks =
     let width = j + 1 + (if j = n - 1 then 0 else 1) in
     if width <= max_fanout then root_group j
   done;
-  Curve.Builder.build ~name:"Lttree.root" out
+  Curve.Builder.build ~name:"Lttree.root" out Fun.id
 
 let best ~buffers ~max_fanout ~driver sinks =
   let c = curve ~buffers ~max_fanout sinks in

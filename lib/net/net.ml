@@ -8,14 +8,31 @@ type t = {
   sinks : Sink.t array;
 }
 
+(* Largest coordinate magnitude a terminal may have: Manhattan
+   distances and bounding-box half-perimeters then stay far from integer
+   overflow (sums of a few 2^31 terms fit in 63 bits). *)
+let max_coord = 1 lsl 30
+
+let in_range (p : Point.t) =
+  let ok v = v >= -max_coord && v <= max_coord (* not [abs]: abs min_int < 0 *) in
+  ok p.Point.x && ok p.Point.y
+
+let out_of_range what (p : Point.t) =
+  invalid_arg
+    (Printf.sprintf "Net.make: %s at (%d, %d) is outside +/-2^30" what
+       p.Point.x p.Point.y)
+
 let make ~name ~source ~driver sinks =
   (match sinks with [] -> invalid_arg "Net.make: no sinks" | _ :: _ -> ());
+  if not (in_range source) then out_of_range "source" source;
   let arr = Array.of_list sinks in
   Array.iteri
     (fun i s ->
        if s.Sink.id <> i then
          invalid_arg
            (Printf.sprintf "Net.make: sink at index %d has id %d" i s.Sink.id);
+       if not (in_range s.Sink.pt) then
+         out_of_range (Printf.sprintf "sink %d" i) s.Sink.pt;
        (* Every DP assumes finite, strictly ordered coordinates: a NaN
           or infinite value would silently break the frontier order. *)
        if not (Float.is_finite s.Sink.cap && s.Sink.cap >= 0.0) then

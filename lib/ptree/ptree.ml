@@ -46,7 +46,7 @@ let curve ~tech ?(max_curve = 12) ?(bbox_slack = 0.4) ~candidates ~order
          ~load:at_source.Solution.load ~area:at_source.Solution.area
          at_source.Solution.data))
     per_candidate;
-  Curve.Builder.build ~name:"Ptree.to_driver" bld
+  Curve.Builder.build ~name:"Ptree.to_driver" bld Fun.id
 
 let route ~tech ?max_curve ?candidates ?order (net : Net.t) =
   let candidates =

@@ -366,6 +366,46 @@ let test_merlin_converges () =
            out.Merlin.best.Solution.req)
     [ (3, 31); (4, 32); (5, 33) ]
 
+(* Theorem 7 oracle: in exact mode — no quantisation, a curve cap no
+   frontier reaches, every chain placement — each loop searches a
+   neighbourhood that contains the previous loop's best structure, so
+   the best required time per loop never decreases.  No tolerance: a
+   decrease is a bug in the DP, not noise.  60 seeded nets of 3-5 sinks
+   (fewer buffer trials and candidates than [tiny_cfg] keep the exact
+   frontiers small: about 5 s native); the test also insists that some
+   of them take more than one loop (28 do), or it would check
+   nothing. *)
+let exact_cfg =
+  { tiny_cfg with
+    Config.quant_req = 0.0;
+    quant_load = 0.0;
+    quant_area = 0.0;
+    max_curve = 100_000;
+    chain_placement = Config.All_positions;
+    candidate_limit = 6;
+    buffer_trials = 2;
+    max_iters = 10 }
+
+let test_merlin_theorem7_exact () =
+  let multi = ref 0 in
+  for i = 0 to 59 do
+    let n = 3 + (i mod 3) and seed = 700 + i in
+    let net = mk_net n seed in
+    match Merlin.run ~cfg:exact_cfg ~tech ~buffers net with
+    | None -> Alcotest.fail "unexpected infeasible"
+    | Some out ->
+      if out.Merlin.loops > 1 then incr multi;
+      let rec non_decreasing = function
+        | a :: (b :: _ as rest) -> a <= b && non_decreasing rest
+        | [ _ ] | [] -> true
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "req_history never decreases (n=%d seed=%d)" n seed)
+        true
+        (non_decreasing out.Merlin.req_history)
+  done;
+  Alcotest.(check bool) "some nets take more than one loop" true (!multi > 0)
+
 let test_merlin_respects_area_budget () =
   let net = mk_net 4 41 in
   match
@@ -453,6 +493,8 @@ let suite =
       Alcotest.test_case "bubble: single sink" `Quick test_single_sink_net;
       Alcotest.test_case "bubbling off keeps order" `Quick test_bubbling_off_keeps_order;
       Alcotest.test_case "merlin converges (Thm 7)" `Slow test_merlin_converges;
+      Alcotest.test_case "merlin exact mode: req never decreases (Thm 7)" `Slow
+        test_merlin_theorem7_exact;
       Alcotest.test_case "merlin area budget (variant I)" `Quick
         test_merlin_respects_area_budget;
       Alcotest.test_case "merlin min area (variant II)" `Quick test_merlin_variant2;

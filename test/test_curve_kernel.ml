@@ -40,15 +40,30 @@ let obs_ref c =
 let qtest name ?(count = 500) arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
 
+let build_sols ?epsilon ?max_frontier ?max_size sols =
+  let bld = Curve.Builder.create () in
+  List.iter (Curve.Builder.add bld) sols;
+  Curve.Builder.build ?epsilon ?max_frontier ?max_size bld Fun.id
+
+(* The cap every DP build applies, on an existing curve's own points. *)
+let cap ~max_size c =
+  let bld = Curve.Builder.create () in
+  Curve.Builder.add_curve bld c;
+  Curve.Builder.build ~max_size bld Fun.id
+
+(* The DP cores' push-time quantisation (Star_ptree's [push_quant]):
+   the coordinates are bucketed before they reach the builder. *)
+let push_quantised bld (rg, lg, ag) ~req ~load ~area data =
+  Curve.Builder.push bld ~req:(Solution.grid_down rg req)
+    ~load:(Solution.grid_up lg load) ~area:(Solution.grid_up ag area) data
+
 let equiv =
   [ qtest "of_list = reference (coords and tie winners)" arb_bag (fun bag ->
         let sols = bag_to_sols bag in
         obs (Curve.of_list sols) = obs_ref (Curve_reference.of_list sols));
     qtest "Builder.build = reference fold add" arb_bag (fun bag ->
         let sols = bag_to_sols bag in
-        let bld = Curve.Builder.create () in
-        List.iter (Curve.Builder.add bld) sols;
-        obs (Curve.Builder.build bld)
+        obs (build_sols sols)
         = obs_ref
             (List.fold_left Curve_reference.add Curve_reference.empty sols));
     qtest "incremental add = reference add" arb_bag (fun bag ->
@@ -79,14 +94,19 @@ let equiv =
         = obs_ref
             (Curve_reference.quantise_load ~grid:2.5
                (Curve_reference.of_list sols)));
-    qtest "build ~grids = quantise-then-add reference" arb_bag (fun bag ->
-        (* The fused quantise-during-sweep path of the DP cores: pushing
-           raw costs with grids must equal quantising each candidate and
-           folding reference add in the same order. *)
+    qtest "push-time quantisation = quantise-then-add reference" arb_bag
+      (fun bag ->
+        (* The DP cores quantise each cost before pushing it: the build
+           must equal quantising each candidate and folding reference
+           add in the same order. *)
         let sols = bag_to_sols bag in
         let bld = Curve.Builder.create () in
-        List.iter (Curve.Builder.add bld) sols;
-        let batch = Curve.Builder.build ~grids:(3.0, 2.0, 5.0) bld in
+        List.iter
+          (fun s ->
+             push_quantised bld (3.0, 2.0, 5.0) ~req:s.Solution.req
+               ~load:s.Solution.load ~area:s.Solution.area s.Solution.data)
+          sols;
+        let batch = Curve.Builder.build bld Fun.id in
         let reference =
           List.fold_left
             (fun acc s ->
@@ -107,9 +127,9 @@ let equiv =
           Curve_reference.map_solutions shift (Curve_reference.of_list sols)
         in
         Curve.size a = Curve_reference.size b && obs a = obs_ref b);
-    qtest "cap = reference cap" arb_bag (fun bag ->
+    qtest "capped build = reference cap" arb_bag (fun bag ->
         let sols = bag_to_sols bag in
-        obs (Curve.cap ~max_size:5 (Curve.of_list sols))
+        obs (build_sols ~max_size:5 sols)
         = obs_ref
             (Curve_reference.cap ~max_size:5 (Curve_reference.of_list sols)));
     qtest "best_min_area early-exit = reference fold"
@@ -129,30 +149,28 @@ let equiv =
          | _ -> false) ]
 
 (* The arena/knob surface of the builder (DESIGN.md §9): cleared-and-
-   reused builders, the neutral settings of the epsilon / max_frontier
-   knobs, and the approximation guarantees of the non-neutral ones. *)
-let build_bag ?grids ?epsilon ?max_frontier bag =
-  let bld = Curve.Builder.create () in
-  List.iter (Curve.Builder.add bld) (bag_to_sols bag);
-  Curve.Builder.build ?grids ?epsilon ?max_frontier bld
+   reused builders, the neutral settings of the epsilon / max_frontier /
+   max_size knobs, and the approximation guarantees of the non-neutral
+   ones. *)
+let build_bag ?epsilon ?max_frontier ?max_size bag =
+  build_sols ?epsilon ?max_frontier ?max_size (bag_to_sols bag)
 
 let modes =
-  [ qtest "cleared builder = fresh (across grids/exact cycles)"
+  [ qtest "cleared builder = fresh (across capped/exact cycles)"
       (QCheck.pair arb_bag arb_bag)
       (fun (b1, b2) ->
-         (* One long-lived builder runs exact and quantised builds over
-            two bags; after every clear it must be observationally a
-            fresh builder, scratch reuse notwithstanding. *)
+         (* One long-lived builder runs exact and capped builds over two
+            bags; after every clear it must be observationally a fresh
+            builder, scratch reuse notwithstanding. *)
          let bld = Curve.Builder.create () in
-         let cycle ?grids bag =
+         let cycle ?max_size bag =
            Curve.Builder.clear bld;
            List.iter (Curve.Builder.add bld) (bag_to_sols bag);
-           obs (Curve.Builder.build ?grids bld)
+           obs (Curve.Builder.build ?max_size bld Fun.id)
          in
-         let g = (3.0, 2.0, 5.0) in
-         cycle ~grids:g b1 = obs (build_bag ~grids:g b1)
+         cycle ~max_size:3 b1 = obs (build_bag ~max_size:3 b1)
          && cycle b2 = obs (build_bag b2)
-         && cycle ~grids:g b2 = obs (build_bag ~grids:g b2)
+         && cycle ~max_size:3 b2 = obs (build_bag ~max_size:3 b2)
          && cycle b1 = obs (build_bag b1));
     qtest "push_cost = push" arb_bag (fun bag ->
         let bld = Curve.Builder.create () in
@@ -164,15 +182,16 @@ let modes =
              c.Curve.Builder.carea <- a;
              Curve.Builder.push_cost bld c i)
           bag;
-        obs (Curve.Builder.build bld) = obs (build_bag bag));
+        obs (Curve.Builder.build bld Fun.id) = obs (build_bag bag));
     qtest "epsilon 0 and unbounded max_frontier = exact"
       arb_bag
       (fun bag ->
-         let g = (3.0, 2.0, 5.0) in
          obs (build_bag ~epsilon:0.0 ~max_frontier:max_int bag)
          = obs (build_bag bag)
-         && obs (build_bag ~grids:g ~epsilon:0.0 ~max_frontier:max_int bag)
-            = obs (build_bag ~grids:g bag));
+         && obs
+              (build_bag ~epsilon:0.0 ~max_frontier:max_int ~max_size:max_int
+                 bag)
+            = obs (build_bag bag));
     qtest "epsilon build: subset of exact, prunes only eps-dominated"
       (QCheck.pair arb_bag (QCheck.float_range 0.5 3.0))
       (fun (bag, eps) ->
@@ -203,18 +222,95 @@ let modes =
          let capped = obs (build_bag ~max_frontier:cap bag) in
          capped = List.filteri (fun i _ -> i < cap) exact) ]
 
-(* The selection cap against the rebuild-based cap it replaced
-   (Curve_reference.cap_rebuild), on random frontiers and every small
-   cap, frontiers no larger than the cap included. *)
-let arb_bag_cap = QCheck.pair arb_bag (QCheck.int_range 2 8)
+(* Prune on push against the unpruned specification
+   (Curve_reference.frontier).  The push sequences are built to hit the
+   pruning rule's edge cases: every base point may come with an exact
+   duplicate (same key, later payload: the earlier push must win), a
+   dominated neighbour pushed just before it (popped by it) or just
+   after it (dropped against it), or a dominating one pushed just after
+   it (popping it).  Wider coordinates than [arb_bag], so epsilon 10
+   still leaves a frontier. *)
+type neighbour = Alone | Duplicate | Worse_before | Worse_after | Better_after
+
+let gen_pushes =
+  QCheck.Gen.(
+    list_size (int_range 0 40)
+      (pair
+         (triple (int_range 0 40) (int_range 0 40) (int_range 0 40))
+         (pair
+            (oneofl [ Alone; Duplicate; Worse_before; Worse_after; Better_after ])
+            (triple (int_range 0 1) (int_range 0 1) (int_range 0 1))))
+    |> map (fun items ->
+        List.concat_map
+          (fun ((r, l, a), (nb, (dr, dl, da))) ->
+             let p = (float_of_int r, float_of_int l, float_of_int a) in
+             (* A weak domination step; all zero is a duplicate key. *)
+             let worse = (float_of_int (r - dr), float_of_int (l + dl),
+                          float_of_int (a + da))
+             and better = (float_of_int (r + dr), float_of_int (l - dl),
+                           float_of_int (a - da)) in
+             match nb with
+             | Alone -> [ p ]
+             | Duplicate -> [ p; p ]
+             | Worse_before -> [ worse; p ]
+             | Worse_after -> [ p; worse ]
+             | Better_after -> [ p; better ])
+          items))
+
+let arb_pushes =
+  QCheck.make
+    ~print:(fun bag ->
+      String.concat "; "
+        (List.map (fun (r, l, a) -> Printf.sprintf "(%g,%g,%g)" r l a) bag))
+    gen_pushes
+
+let pruning =
+  [ qtest "prune on push = unpruned reference sweep (eps 0/10, max_frontier 0/3)"
+      arb_pushes
+      (fun bag ->
+         let sols = bag_to_sols bag in
+         List.for_all
+           (fun (epsilon, max_frontier) ->
+              let bld = Curve.Builder.create () in
+              List.iter (Curve.Builder.add bld) sols;
+              let built =
+                obs (Curve.Builder.build ~epsilon ~max_frontier bld Fun.id)
+              in
+              built
+              = obs_ref (Curve_reference.frontier ~epsilon ~max_frontier sols)
+              && Curve.Builder.survivors bld = List.length built
+              && Curve.Builder.length bld = List.length sols)
+           [ (0.0, 0); (0.0, 3); (10.0, 0); (10.0, 3) ]
+         && obs (build_sols sols)
+            = obs_ref
+                (List.fold_left Curve_reference.add Curve_reference.empty sols));
+    qtest "capped build = rebuild cap of the uncapped build (max_size 2-8)"
+      (QCheck.pair arb_pushes (QCheck.int_range 2 8))
+      (fun (bag, max_size) ->
+         let sols = bag_to_sols bag in
+         let bld = Curve.Builder.create () in
+         List.iter (Curve.Builder.add bld) sols;
+         let full = Curve.Builder.build bld Fun.id in
+         let capped = Curve.Builder.build ~max_size bld Fun.id in
+         obs capped = obs (Curve_reference.cap_rebuild ~max_size full)
+         && Curve.size capped <= max_size
+         && Curve.Builder.survivors bld = Curve.size full
+         && (Curve.size full > max_size || obs capped = obs full)) ]
 
 (* Join-shaped batch: every (a, b) pair of two curves, pushed as the
    join cost with a packed (a, b) payload; close-shaped batch: a curve's
    own points (payload: position) then each point under two pseudo
    buffers (payload: position plus 1 + buffer index above it) — the
-   payload shapes of Star_ptree's join and buffer-closure batches. *)
+   payload shapes of Star_ptree's join and buffer-closure batches, with
+   its push-time quantisation when [grids] is given.  Each returns the
+   filled builder and the payload map. *)
 let bits = 21
 let mask = (1 lsl bits) - 1
+
+let push_batch ?grids bld ~req ~load ~area data =
+  match grids with
+  | None -> Curve.Builder.push bld ~req ~load ~area data
+  | Some g -> push_quantised bld g ~req ~load ~area data
 
 let join_batch ?grids la lb =
   let bld = Curve.Builder.create () in
@@ -222,7 +318,7 @@ let join_batch ?grids la lb =
     (fun a sa ->
        List.iteri
          (fun b sb ->
-            Curve.Builder.push bld
+            push_batch ?grids bld
               ~req:(Float.min sa.Solution.req sb.Solution.req)
               ~load:(sa.Solution.load +. sb.Solution.load)
               ~area:(sa.Solution.area +. sb.Solution.area)
@@ -230,7 +326,7 @@ let join_batch ?grids la lb =
          lb)
     la;
   let left = Array.of_list la and right = Array.of_list lb in
-  ( Curve.Builder.build ?grids bld,
+  ( bld,
     fun code ->
       (left.(code lsr bits).Solution.data, right.(code land mask).Solution.data) )
 
@@ -239,7 +335,7 @@ let close_batch ?grids c =
   let n = Curve.size c in
   for i = 0 to n - 1 do
     let s = Curve.get c i in
-    Curve.Builder.push bld ~req:s.Solution.req ~load:s.Solution.load
+    push_batch ?grids bld ~req:s.Solution.req ~load:s.Solution.load
       ~area:s.Solution.area i
   done;
   let bufs = [| (1.0, 0.5, 2.0); (0.5, 1.5, 4.0) |] in
@@ -247,43 +343,35 @@ let close_batch ?grids c =
     let s = Curve.get c i in
     Array.iteri
       (fun b (r, cin, area) ->
-         Curve.Builder.push bld
+         push_batch ?grids bld
            ~req:(s.Solution.req -. 1.0 -. (r *. s.Solution.load))
            ~load:cin ~area:(s.Solution.area +. area)
            (((b + 1) lsl bits) lor i))
       bufs
   done;
-  ( Curve.Builder.build ?grids bld,
-    fun code -> ((Curve.get c (code land mask)).Solution.data, code lsr bits) )
+  (bld, fun code -> ((Curve.get c (code land mask)).Solution.data, code lsr bits))
+
+(* Materialising only the cap's picks = materialising the whole frontier
+   and capping it afterwards. *)
+let capped_materialise_ok (bld, mat) max_size =
+  obs (Curve.Builder.build ~max_size bld mat)
+  = obs (Curve_reference.cap_rebuild ~max_size (Curve.Builder.build bld mat))
 
 let fused =
-  [ qtest "selection cap = rebuild cap (max_size 2-8)" arb_bag_cap
-      (fun (bag, max_size) ->
-         let c = Curve.of_list (bag_to_sols bag) in
-         let capped = Curve.cap ~max_size c in
-         obs capped = obs (Curve_reference.cap_rebuild ~max_size c)
-         && Curve.size capped <= max_size
-         && (Curve.size c > max_size || obs capped = obs c));
-    qtest "join batch: build, cap, materialise = build, materialise, cap"
+  [ qtest "join batch: capped build with map = build with map, then cap"
       (QCheck.triple arb_bag arb_bag (QCheck.int_range 2 8))
       (fun (ba, bb, max_size) ->
          let la = Curve.to_list (Curve.of_list (bag_to_sols ba))
          and lb = Curve.to_list (Curve.of_list (bag_to_sols bb)) in
          List.for_all
-           (fun grids ->
-              let built, mat = join_batch ?grids la lb in
-              obs (Curve.map_data mat (Curve.cap ~max_size built))
-              = obs (Curve.cap ~max_size (Curve.map_data mat built)))
+           (fun grids -> capped_materialise_ok (join_batch ?grids la lb) max_size)
            [ None; Some (3.0, 2.0, 5.0) ]);
-    qtest "close batch: build, cap, materialise = build, materialise, cap"
-      arb_bag_cap
+    qtest "close batch: capped build with map = build with map, then cap"
+      (QCheck.pair arb_bag (QCheck.int_range 2 8))
       (fun (bag, max_size) ->
          let c = Curve.of_list (bag_to_sols bag) in
          List.for_all
-           (fun grids ->
-              let built, mat = close_batch ?grids c in
-              obs (Curve.map_data mat (Curve.cap ~max_size built))
-              = obs (Curve.cap ~max_size (Curve.map_data mat built)))
+           (fun grids -> capped_materialise_ok (close_batch ?grids c) max_size)
            [ None; Some (3.0, 2.0, 5.0) ]) ]
 
 (* Regression for the batch cap: the four extreme points — best required
@@ -301,7 +389,7 @@ let test_cap_preserves_extremes () =
     in
     let c = Curve.of_list bag in
     if Curve.size c > 6 then begin
-      let capped = Curve.cap ~max_size:6 c in
+      let capped = cap ~max_size:6 c in
       let full = Curve.to_list c and kept = Curve.to_list capped in
       let extreme proj =
         List.fold_left
@@ -335,11 +423,12 @@ let test_builder_lifecycle () =
     Curve.Builder.push bld ~req:(float_of_int i) ~load:1.0 ~area:1.0 i
   done;
   Alcotest.(check int) "ten pushed" 10 (Curve.Builder.length bld);
-  let c = Curve.Builder.build bld in
+  let c = Curve.Builder.build bld Fun.id in
   Alcotest.(check int) "frontier of ten" 1 (Curve.size c);
   Curve.Builder.clear bld;
   Alcotest.(check int) "cleared" 0 (Curve.Builder.length bld);
-  Alcotest.(check int) "empty build" 0 (Curve.size (Curve.Builder.build bld))
+  Alcotest.(check int) "empty build" 0
+    (Curve.size (Curve.Builder.build bld Fun.id))
 
 (* Under MERLIN_CHECK the batch results must satisfy the full array
    contracts too. *)
@@ -352,15 +441,18 @@ let test_batch_contracts () =
        for _trial = 1 to 20 do
          let bld = Curve.Builder.create () in
          for i = 0 to 99 do
-           Curve.Builder.push bld
+           push_quantised bld (2.0, 3.0, 0.0)
              ~req:(float_of_int (Random.State.int rand 30))
              ~load:(float_of_int (Random.State.int rand 30))
              ~area:(float_of_int (Random.State.int rand 30))
              i
          done;
-         let c = Curve.Builder.build ~grids:(2.0, 3.0, 0.0) bld in
+         let c = Curve.Builder.build bld Fun.id in
          Alcotest.(check bool) "contracted build is a frontier" true
-           (Curve.is_frontier c)
+           (Curve.is_frontier c);
+         let capped = Curve.Builder.build ~max_size:4 bld Fun.id in
+         Alcotest.(check bool) "contracted capped build is a frontier" true
+           (Curve.is_frontier capped)
        done)
 
 let suite =
@@ -370,4 +462,4 @@ let suite =
       Alcotest.test_case "builder lifecycle" `Quick test_builder_lifecycle;
       Alcotest.test_case "batch results pass contracts" `Quick
         test_batch_contracts ]
-    @ equiv @ modes @ fused )
+    @ equiv @ modes @ pruning @ fused )

@@ -15,6 +15,12 @@ let arb_sols = QCheck.list_of_size (QCheck.Gen.int_range 0 40) arb_sol
 let qtest name ?(count = 300) arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
 
+(* The cap every DP build applies, on an existing curve's own points. *)
+let cap ~max_size c =
+  let bld = Curve.Builder.create () in
+  Curve.Builder.add_curve bld c;
+  Curve.Builder.build ~max_size bld Fun.id
+
 (* Reference implementation: keep exactly the solutions not strictly
    dominated by any other (and dedup equal coordinates). *)
 let brute_frontier sols =
@@ -87,7 +93,7 @@ let test_cap_keeps_extremes () =
   let c = Curve.of_list (List.init 20 (fun i ->
       sol (float_of_int i) (float_of_int i) 0.0)) in
   Alcotest.(check int) "full frontier" 20 (Curve.size c);
-  let capped = Curve.cap ~max_size:5 c in
+  let capped = cap ~max_size:5 c in
   Alcotest.(check bool) "within cap" true (Curve.size capped <= 5);
   let reqs = List.map (fun s -> s.Solution.req) (Curve.to_list capped) in
   Alcotest.(check bool) "max req kept" true (List.mem 19.0 reqs);
@@ -98,7 +104,7 @@ let test_cap_keeps_min_area () =
      kept (the van Ginneken "unbuffered variant survives" guarantee). *)
   let c = Curve.of_list (List.init 30 (fun i ->
       sol (float_of_int i) (float_of_int i) (float_of_int i))) in
-  let capped = Curve.cap ~max_size:6 c in
+  let capped = cap ~max_size:6 c in
   let areas = List.map (fun s -> s.Solution.area) (Curve.to_list capped) in
   Alcotest.(check bool) "min area kept" true (List.mem 0.0 areas)
 
@@ -131,7 +137,7 @@ let props =
          let u = Curve.union (Curve.of_list a) (Curve.of_list b) in
          Curve.size u = Curve.size (Curve.of_list (a @ b)));
     qtest "cap never exceeds" arb_sols (fun sols ->
-        Curve.size (Curve.cap ~max_size:4 (Curve.of_list sols)) <= 4);
+        Curve.size (cap ~max_size:4 (Curve.of_list sols)) <= 4);
     qtest "quantise still a frontier" arb_sols (fun sols ->
         Curve.is_frontier
           (Curve.quantise ~req_grid:3.0 ~load_grid:2.0 ~area_grid:5.0
@@ -142,7 +148,7 @@ let props =
       (fun (a, b) ->
          invariants (Curve.union (Curve.of_list a) (Curve.of_list b)));
     qtest "cap satisfies curve invariants" arb_sols (fun sols ->
-        invariants (Curve.cap ~max_size:4 (Curve.of_list sols)));
+        invariants (cap ~max_size:4 (Curve.of_list sols)));
     qtest "quantise satisfies curve invariants" arb_sols (fun sols ->
         invariants
           (Curve.quantise ~req_grid:3.0 ~load_grid:2.0 ~area_grid:5.0
@@ -156,7 +162,7 @@ let props =
            ~finally:(fun () -> Contract.set_enabled false)
            (fun () ->
               let c = Curve.union (Curve.of_list a) (Curve.of_list b) in
-              let c = Curve.cap ~max_size:4 c in
+              let c = cap ~max_size:4 c in
               let c =
                 Curve.quantise ~req_grid:3.0 ~load_grid:2.0 ~area_grid:5.0 c
               in

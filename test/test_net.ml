@@ -139,6 +139,35 @@ let test_io_rejects_bad_sinks () =
          (Net_io.of_string
             (net_text [ "sink 0 1 1 5 100\n"; "sink 0 2 2 5 100\n" ])))
 
+(* Coordinates beyond +/-2^30 (source or sink) are rejected, so every
+   Manhattan sum the DPs form stays far from integer overflow; the bound
+   itself is accepted. *)
+let test_coordinate_range () =
+  let lim = 1 lsl 30 in
+  let net ?(source = Point.origin) pt =
+    Net.make ~name:"t" ~source ~driver:Net.default_driver
+      [ Sink.make ~id:0 ~pt ~cap:5.0 ~req:100.0 ]
+  in
+  Alcotest.(check int) "bound accepted" 1
+    (Net.n_sinks (net ~source:(Point.make (-lim) lim) (Point.make lim (-lim))));
+  List.iter
+    (fun (x, y) ->
+       Alcotest.check_raises
+         (Printf.sprintf "sink at (%d, %d)" x y)
+         (Invalid_argument
+            (Printf.sprintf "Net.make: sink 0 at (%d, %d) is outside +/-2^30" x y))
+         (fun () -> ignore (net (Point.make x y))))
+    [ (lim + 1, 0); (0, -lim - 1); (min_int, 0); (0, max_int) ];
+  Alcotest.check_raises "source"
+    (Invalid_argument "Net.make: source at (0, 1073741825) is outside +/-2^30")
+    (fun () -> ignore (net ~source:(Point.make 0 (lim + 1)) (Point.make 1 1)));
+  Alcotest.check_raises "net file"
+    (Failure
+       "Net_io.of_string: Net.make: sink 0 at (1073741825, 1) is outside \
+        +/-2^30")
+    (fun () ->
+       ignore (Net_io.of_string (net_text [ "sink 0 1073741825 1 5 100\n" ])))
+
 let qtest name ?(count = 50) arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
 
@@ -211,5 +240,6 @@ let suite =
         test_make_rejects_bad_sinks;
       Alcotest.test_case "io rejects bad sink values" `Quick
         test_io_rejects_bad_sinks;
+      Alcotest.test_case "coordinate range" `Quick test_coordinate_range;
       Alcotest.test_case "shape names" `Quick test_shape_names ]
     @ props )
